@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import MissingMetric
 from .cookies import TrackedUrl
@@ -44,11 +46,17 @@ class Distribution:
         return (self.samples[mid - 1] + self.samples[mid]) / 2
 
     def cdf(self, x: float) -> float:
-        count = sum(1 for s in self.samples if s <= x)
-        return count / len(self.samples)
+        return bisect_right(self.samples, x) / len(self.samples)
 
     def cdf_points(self) -> list[tuple[float, float]]:
-        return [(x, self.cdf(x)) for x in sorted(set(self.samples))]
+        """(x, cdf(x)) for each distinct sample value, ascending."""
+        n = len(self.samples)
+        points: list[tuple[float, float]] = []
+        count = 0
+        for x, run in groupby(self.samples):
+            count += sum(1 for _ in run)
+            points.append((x, count / n))
+        return points
 
 
 @dataclass

@@ -1,15 +1,18 @@
 """The platform side: page loads, click-ID arrays, outbound-link decoration.
 
 Every page load on the platform carries an array of 50 fresh 61-character
-click IDs.  Outbound links get one of those IDs appended, chosen by the
-link element's class name: same class, same ID within a load.  Every
-issuance is written to an append-only ledger, which is the join key the
-tracker later uses to de-anonymize visitors.
+click IDs, each derived on first access, so a load pays only for the
+slots its links use.  Outbound links get one of those IDs appended, chosen
+by the link element's class name: same class, same ID within a load.
+Every issuance is written to an append-only ledger, indexed by click-ID
+value, which is the join key the tracker later uses to de-anonymize
+visitors.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .cookies import (
@@ -24,13 +27,48 @@ from .world import World
 
 ARRAY_SIZE = 50
 
+# Maps each digest byte to the alphabet character of its low six bits.
+_CLICK_ID_TABLE = bytes(ord(CLICK_ID_ALPHABET[b & 63]) for b in range(256))
+
+
+class ClickIdArray(Sequence[Fbclid]):
+    """The ARRAY_SIZE click IDs of one page load.
+
+    A slot's ID is derived, checked for freshness and recorded as issued
+    the first time it is read; later reads return the same object.
+    """
+
+    def __init__(self, feed: PlatformFeed, account_id: str, counter: int):
+        self._feed = feed
+        self._account_id = account_id
+        self._counter = counter
+        self._ids: list[Fbclid | None] = [None] * ARRAY_SIZE
+
+    def __len__(self) -> int:
+        return ARRAY_SIZE
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(ARRAY_SIZE)))
+        click_id = self._ids[index]
+        if click_id is None:
+            slot = index % ARRAY_SIZE
+            click_id = self._feed._issue(self._account_id, self._counter, slot)
+            self._ids[slot] = click_id
+        return click_id
+
+    def __eq__(self, other):
+        if isinstance(other, (ClickIdArray, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
 
 @dataclass
 class PageLoad:
     load_id: str
     account_id: str
     tick: int
-    click_ids: tuple[Fbclid, ...]  # exactly ARRAY_SIZE entries
+    click_ids: ClickIdArray  # ARRAY_SIZE entries, each derived on first access
     class_assignment: dict[str, int] = field(default_factory=dict)
 
 
@@ -47,8 +85,7 @@ class ClickLedgerEntry:
 def _derive_click_id(seed: int, account_id: str, counter: int, slot: int, nonce: int) -> Fbclid:
     key = f"{seed}:{account_id}:{counter}:{slot}:{nonce}".encode()
     digest = hashlib.sha512(key).digest()
-    chars = "".join(CLICK_ID_ALPHABET[b & 63] for b in digest[:CLICK_ID_LENGTH])
-    return Fbclid(chars)
+    return Fbclid(digest[:CLICK_ID_LENGTH].translate(_CLICK_ID_TABLE).decode("ascii"))
 
 
 class PlatformFeed:
@@ -59,30 +96,31 @@ class PlatformFeed:
         self._load_counters: dict[str, int] = {}
         self._issued_values: set[str] = set()
         self.ledger: list[ClickLedgerEntry] = []
+        self._entries_by_value: dict[str, list[ClickLedgerEntry]] = {}
         self.current_loads: dict[str, PageLoad] = {}
 
     def refresh_click_ids(self, account_id: str, tick: int) -> PageLoad:
         counter = self._load_counters.get(account_id, 0)
         self._load_counters[account_id] = counter + 1
-        ids = []
-        for slot in range(ARRAY_SIZE):
-            nonce = 0
-            click_id = _derive_click_id(self._seed, account_id, counter, slot, nonce)
-            # Cross-load freshness is enforced, not just assumed: regenerate
-            # on the (practically impossible) digest collision.
-            while click_id.value in self._issued_values:
-                nonce += 1
-                click_id = _derive_click_id(self._seed, account_id, counter, slot, nonce)
-            self._issued_values.add(click_id.value)
-            ids.append(click_id)
         load = PageLoad(
             load_id=f"{account_id}#{counter}",
             account_id=account_id,
             tick=tick,
-            click_ids=tuple(ids),
+            click_ids=ClickIdArray(self, account_id, counter),
         )
         self.current_loads[account_id] = load
         return load
+
+    def _issue(self, account_id: str, counter: int, slot: int) -> Fbclid:
+        nonce = 0
+        click_id = _derive_click_id(self._seed, account_id, counter, slot, nonce)
+        # Cross-load freshness is enforced, not just assumed: regenerate
+        # on the (practically impossible) digest collision.
+        while click_id.value in self._issued_values:
+            nonce += 1
+            click_id = _derive_click_id(self._seed, account_id, counter, slot, nonce)
+        self._issued_values.add(click_id.value)
+        return click_id
 
     def decorate_outbound(
         self, load: PageLoad, target_url: TrackedUrl, element_class: str
@@ -105,10 +143,12 @@ class PlatformFeed:
             target_origin=target_url.origin,
         )
         self.ledger.append(entry)
+        self._entries_by_value.setdefault(click_id.value, []).append(entry)
         return decorated, entry
 
     def entries_for(self, fbclid_value: str) -> list[ClickLedgerEntry]:
-        return [e for e in self.ledger if e.fbclid.value == fbclid_value]
+        """Ledger entries issuing ``fbclid_value``, in ledger order."""
+        return list(self._entries_by_value.get(fbclid_value, ()))
 
 
 def record_click(world: World, browser_id: str, decorated_url: TrackedUrl) -> PageVisit:

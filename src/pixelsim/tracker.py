@@ -9,10 +9,11 @@ on the same site.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
-from .cookies import EventReport, TrackedUrl, encode_report, parse_fbp
-from .errors import UnknownAccount
+from .cookies import EventReport, TrackedUrl, encode_report, parse_fbc, parse_fbp
+from .errors import MalformedCookie, MalformedReport, UnknownAccount
 from .social import PlatformFeed
 
 ProfileKey = tuple[str, str]  # (site domain, serialized _fbp value)
@@ -77,7 +78,6 @@ class IdentityGraph:
     def _pid_for_key(self, key: ProfileKey) -> int:
         pid = self._key_to_pid.get(key)
         if pid is None:
-            parse_fbp(key[1])  # every profile key must be a valid cookie
             pid = self._new_profile(key)
         return pid
 
@@ -88,8 +88,12 @@ class IdentityGraph:
     def profiles(self) -> list[PseudonymProfile]:
         return [p for p in self._profiles if p is not None]
 
-    def _merge(self, keep: int, absorb: int) -> bool:
-        """Fold profile ``absorb`` into ``keep``; refuse on conflicting links."""
+    def _merge(self, site: str, keep: int, absorb: int) -> bool:
+        """Fold profile ``absorb`` into ``keep``; refuse on conflicting links.
+
+        Both profiles belong to ``site``: a merge joins them through an
+        external ID, which is bound per site.
+        """
         if keep == absorb:
             return False
         a, b = self._profiles[keep], self._profiles[absorb]
@@ -102,15 +106,17 @@ class IdentityGraph:
             )
             return False
         a.keys |= b.keys
-        a.activity.extend(b.activity)
-        a.activity.sort(key=Activity.as_tuple)
+        for activity in b.activity:
+            insort(a.activity, activity, key=Activity.as_tuple)
         a.external_ids |= b.external_ids
         if a.linked_account is None:
             a.linked_account = b.linked_account
         for key in b.keys:
             self._key_to_pid[key] = keep
-        for ext_key, pid in list(self._external_index.items()):
-            if pid == absorb:
+        # Only ``absorb``'s own external IDs can be bound to it.
+        for external_id in b.external_ids:
+            ext_key = (site, external_id)
+            if self._external_index.get(ext_key) == absorb:
                 self._external_index[ext_key] = keep
         self._profiles[absorb] = None
         return True
@@ -129,28 +135,29 @@ class IdentityGraph:
         if wire in self._seen_reports:
             outcome.duplicate = True
             return outcome
+        key = (site, report.fbp) if report.fbp is not None else None
+        fbclid_value = self._checked_fbclid(report, key)
         self._seen_reports.add(wire)
 
         pid: int | None = None
-        if report.fbp is not None:
-            key = (site, report.fbp)
+        if key is not None:
             pid = self._pid_for_key(key)
-            self._profiles[pid].activity.append(
+            insort(
+                self._profiles[pid].activity,
                 Activity(
                     timestamp=report.timestamp,
                     event=report.event.value,
                     page_url=report.page_url,
                     site=site,
-                )
+                ),
+                key=Activity.as_tuple,
             )
-            self._profiles[pid].activity.sort(key=Activity.as_tuple)
             outcome.profile_key = key
 
         if report.external_id is not None:
             pid, merged = self._bind_external_id(site, report.external_id, pid)
             outcome.merged = merged
 
-        fbclid_value = self._fbclid_of(report)
         if fbclid_value is not None and pid is not None:
             account = self._account_for_fbclid(fbclid_value, site)
             if account is not None:
@@ -161,11 +168,20 @@ class IdentityGraph:
             outcome.profile_key = min(self._profiles[pid].keys)
         return outcome
 
-    @staticmethod
-    def _fbclid_of(report: EventReport) -> str | None:
-        if report.fbc is not None:
-            # Fourth dotted segment, carried verbatim.
-            return report.fbc.split(".", 3)[3]
+    def _checked_fbclid(self, report: EventReport, key: ProfileKey | None) -> str | None:
+        """Validate the report's cookies and return its click-ID value.
+
+        Runs before ``ingest`` changes any state, so a rejected report can
+        be corrected and sent again.  An ``fbp`` already known as a profile
+        key was checked when it first arrived.
+        """
+        try:
+            if key is not None and key not in self._key_to_pid:
+                parse_fbp(key[1])
+            if report.fbc is not None:
+                return parse_fbc(report.fbc).fbclid.value
+        except MalformedCookie as exc:
+            raise MalformedReport(str(exc)) from exc
         if report.fbclid_param is not None:
             return report.fbclid_param.value
         return None
@@ -181,7 +197,7 @@ class IdentityGraph:
             if pid is None:
                 return None, False
         if existing is not None and existing != pid:
-            if self._merge(existing, pid):
+            if self._merge(site, existing, pid):
                 pid = existing
                 merged = True
         self._external_index[ext_key] = pid

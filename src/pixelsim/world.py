@@ -203,6 +203,7 @@ class World:
         self.rng = random.Random(seed)
         self.clock = SimClock()
         self.browsers: dict[str, BrowserProfile] = {}
+        self._incognito_browsers: list[BrowserProfile] = []
         self.sites: dict[str, SiteConfig] = {}
         self.accounts: dict[str, Account] = {}
         self.external_ids = ExternalIdRegistry(seed)
@@ -222,6 +223,8 @@ class World:
             browser_id=browser_id, incognito=incognito, user_agent=user_agent
         )
         self.browsers[browser_id] = browser
+        if incognito:
+            self._incognito_browsers.append(browser)
         return browser
 
     def add_site(self, config: SiteConfig) -> SiteConfig:
@@ -265,9 +268,8 @@ class World:
 
     def end_step(self) -> None:
         """Incognito jars do not survive past the step that filled them."""
-        for browser in self.browsers.values():
-            if browser.incognito:
-                browser.discard_jars()
+        for browser in self._incognito_browsers:
+            browser.discard_jars()
 
     def next_random_number(self) -> int:
         # Ten decimal digits, matching the shape of observed cookie values.

@@ -1,6 +1,7 @@
 """Metric aggregation: distributions, class tallies, comparisons."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pixelsim.cookies import EventName, EventReport, Fbclid
 from pixelsim.errors import MissingMetric
@@ -51,6 +52,16 @@ class TestDistribution:
     def test_cdf_points_over_distinct_values(self):
         d = Distribution([1, 1, 3])
         assert d.cdf_points() == [(1, 2 / 3), (3, 1.0)]
+
+    @given(
+        samples=st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+        probe=st.integers(-7, 7),
+    )
+    def test_cdf_matches_brute_force_count(self, samples, probe):
+        d = Distribution(samples)
+        count = lambda x: sum(1 for s in samples if s <= x) / len(samples)
+        assert d.cdf(probe) == count(probe)
+        assert d.cdf_points() == [(x, count(x)) for x in sorted(set(samples))]
 
 
 class TestTally:

@@ -1,9 +1,19 @@
 """Platform-side behavior: click-ID arrays, decoration, the ledger."""
 
+import pytest
+from hypothesis import given, strategies as st
+
+from pixelsim import social
 from pixelsim.cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, TrackedUrl
 from pixelsim.pixel import VisitKind
+from pixelsim.scenarios import Scenario, Step, run
 from pixelsim.social import ARRAY_SIZE, PlatformFeed, record_click
 from pixelsim.world import SiteConfig, World
+
+TARGETS = [
+    TrackedUrl.parse(f"https://{domain}/")
+    for domain in ("shop.example", "news.example", "blog.example")
+]
 
 
 def make_feed(seed: int = 1) -> PlatformFeed:
@@ -47,6 +57,39 @@ class TestClickIdArrays:
         second = feed.refresh_click_ids("u1", tick=5)
         assert first.load_id != second.load_id
         assert feed.current_loads["u1"] is second
+
+    def test_array_behaves_as_a_fifty_slot_sequence(self):
+        ids = make_feed().refresh_click_ids("u1", tick=0).click_ids
+        assert len(ids) == ARRAY_SIZE
+        assert ids[-1] is ids[ARRAY_SIZE - 1]
+        assert ids[-ARRAY_SIZE] is ids[0]
+        for index in (ARRAY_SIZE, -ARRAY_SIZE - 1):
+            with pytest.raises(IndexError):
+                ids[index]
+        assert ids[2:5] == (ids[2], ids[3], ids[4])
+        assert ids[::-1][0] is ids[-1]
+        assert ids == tuple(ids) and tuple(ids) == ids
+        assert ids != tuple(ids)[:-1]
+        assert ids[7] is ids[7]
+
+    def test_load_then_click_derives_one_id(self, monkeypatch):
+        derived = []
+        derive = social._derive_click_id
+        monkeypatch.setattr(
+            social, "_derive_click_id", lambda *args: derived.append(args) or derive(*args)
+        )
+        scenario = Scenario(
+            seed=1,
+            sites=[SiteConfig(domain="shop.example")],
+            browsers=[{"id": "b1"}],
+            steps=[
+                Step(1, "CreateAccount", {"browser": "b1", "account": "u1"}),
+                Step(2, "PlatformLoad", {"account": "u1"}),
+                Step(3, "PlatformClick", {"account": "u1", "site": "shop.example"}),
+            ],
+        )
+        run(scenario)
+        assert len(derived) == 1
 
 
 class TestDecoration:
@@ -125,6 +168,43 @@ class TestLedger:
         feed.decorate_outbound(load, target, "ad-card")
         feed.decorate_outbound(load, target, "ad-card")
         assert len(feed.ledger) == 2
+
+    @given(
+        clicks=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # account
+                st.integers(0, 3),  # element class
+                st.integers(0, len(TARGETS) - 1),
+                st.booleans(),  # reload the feed before clicking
+            ),
+            max_size=30,
+        ),
+        strangers=st.lists(st.text(CLICK_ID_ALPHABET, min_size=1, max_size=61), max_size=5),
+    )
+    def test_entries_for_matches_ledger_scan(self, clicks, strangers):
+        feed = make_feed()
+        first = feed.refresh_click_ids("u0", tick=0)
+        for k in range(ARRAY_SIZE + 1):  # the 51st class wraps onto slot 0
+            feed.decorate_outbound(first, TARGETS[0], f"class-{k}")
+        feed.decorate_outbound(first, TARGETS[1], "class-0")  # one ID, two targets
+        wrapped = feed.entries_for(first.click_ids[0].value)
+        assert [(e.element_class, e.target_origin) for e in wrapped][:3] == [
+            ("class-0", "shop.example"),
+            ("class-50", "shop.example"),
+            ("class-0", "news.example"),
+        ]
+        for tick, (account, element, target, reload) in enumerate(clicks, start=1):
+            load = feed.current_loads.get(f"u{account}")
+            if load is None or reload:
+                load = feed.refresh_click_ids(f"u{account}", tick)
+            feed.decorate_outbound(load, TARGETS[target], f"class-{element}")
+        # Derived but never put on a link: not in the ledger either.
+        unclicked = feed.refresh_click_ids("u9", tick=0).click_ids[3].value
+        values = {e.fbclid.value for e in feed.ledger} | set(strangers) | {unclicked}
+        for value in values:
+            assert feed.entries_for(value) == [
+                e for e in feed.ledger if e.fbclid.value == value
+            ]
 
 
 class TestRecordClick:

@@ -1,11 +1,12 @@
 """Identity graph: profiles, ledger joins, external-ID merges, anomalies."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pixelsim.cookies import EventName, EventReport, Fbclid, TrackedUrl
-from pixelsim.errors import UnknownAccount
+from pixelsim.errors import MalformedReport, UnknownAccount
 from pixelsim.social import PlatformFeed
-from pixelsim.tracker import IdentityGraph
+from pixelsim.tracker import Activity, IdentityGraph
 
 SITE = "shop.example"
 
@@ -61,6 +62,26 @@ class TestProfiles:
         assert outcome.orphan
         assert len(graph.orphans) == 1
         assert graph.profiles() == []
+
+
+class TestMalformedReports:
+    def test_malformed_fbc_is_rejected_without_partial_state(self):
+        feed, entry = feed_with_click()
+        graph = IdentityGraph(click_ledger=feed)
+        empty = graph.dump()
+        with pytest.raises(MalformedReport):
+            graph.ingest(make_report(1, fbc="fb.1.2", ext="ext-a"))
+        assert graph.dump() == empty
+        graph.ingest(make_report(1, fbc=f"fb.1.2.{entry.fbclid.value}", ext="ext-a"))
+        assert len(graph.profile((SITE, "fb.1.0.42")).activity) == 1
+
+    def test_malformed_fbp_is_rejected_on_every_retry(self):
+        graph = IdentityGraph()
+        for _ in range(2):
+            with pytest.raises(MalformedReport):
+                graph.ingest(make_report(1, fbp="fb.1.x.42"))
+        assert graph.profiles() == []
+        assert not graph.ingest(make_report(1)).duplicate
 
 
 class TestLedgerJoin:
@@ -213,3 +234,46 @@ class TestQueries:
             return graph.dump()
 
         assert build() == build()
+
+
+class TestInvariants:
+    FBPS = ["fb.1.0.1", "fb.1.0.2", "fb.1.0.3", "fb.1.0.4", None]
+    SITES = [SITE, "other.example"]
+
+    @given(
+        reports=st.lists(
+            st.tuples(
+                st.integers(0, 20),  # timestamp; ties and late arrivals
+                st.sampled_from(FBPS),
+                st.sampled_from(SITES),
+                st.sampled_from(["ext-a", "ext-b", "ext-c", None]),
+                st.sampled_from([0, 1, None]),  # click issued to u1, u2, or none
+            ),
+            max_size=40,
+        )
+    )
+    def test_ingest_and_merge_keep_the_graph_consistent(self, reports):
+        feed = PlatformFeed(seed=3)
+        clicks = []
+        for account in ("u1", "u2"):
+            load = feed.refresh_click_ids(account, tick=0)
+            clicks.append(feed.decorate_outbound(load, TrackedUrl.parse(f"https://{SITE}/"), "a")[1])
+        graph = IdentityGraph(click_ledger=feed)
+        received: dict[tuple[str, str], list[Activity]] = {}
+        for ts, fbp, site, ext, click in reports:
+            clid = clicks[click].fbclid.value if click is not None else None
+            outcome = graph.ingest(make_report(ts, fbp=fbp, ext=ext, clid=clid, site=site))
+            if fbp is not None and not outcome.duplicate:
+                received.setdefault((site, fbp), []).append(
+                    Activity(ts, EventName.PAGE_VIEW.value, f"https://{site}/", site)
+                )
+
+        live = graph.profiles()
+        for profile in live:
+            got = [a for key in profile.keys for a in received[key]]
+            assert profile.activity == sorted(got, key=Activity.as_tuple)
+        assert all(graph._profiles[pid] is not None for pid in graph._external_index.values())
+        owners = {key: [p for p in live if key in p.keys] for key in graph._key_to_pid}
+        assert all(len(found) == 1 for found in owners.values())
+        assert all(graph.profile(key) is found[0] for key, found in owners.items())
+        assert sum(len(p.keys) for p in live) == len(graph._key_to_pid)
