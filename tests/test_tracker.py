@@ -254,10 +254,11 @@ class TestInvariants:
     )
     def test_ingest_and_merge_keep_the_graph_consistent(self, reports):
         feed = PlatformFeed(seed=3)
-        clicks = []
-        for account in ("u1", "u2"):
-            load = feed.refresh_click_ids(account, tick=0)
-            clicks.append(feed.decorate_outbound(load, TrackedUrl.parse(f"https://{SITE}/"), "a")[1])
+        target = TrackedUrl.parse(f"https://{SITE}/")
+        clicks = [
+            feed.decorate_outbound(feed.refresh_click_ids(account, tick=0), target, "a")[1]
+            for account in ("u1", "u2")
+        ]
         graph = IdentityGraph(click_ledger=feed)
         received: dict[tuple[str, str], list[Activity]] = {}
         for ts, fbp, site, ext, click in reports:
