@@ -27,7 +27,7 @@ from .reporting import (
     third_party_distribution,
 )
 from .scenarios import RunResult, Scenario, Step, load_scenario, run
-from .social import PlatformFeed, record_click
+from .social import PlatformFeed
 from .tracker import IdentityGraph
 from .world import (
     ConsentMode,

@@ -70,28 +70,17 @@ def experiment_cmd(name, sites, fractions, seed, gap_days, out):
     fracs = _parse_fractions(fractions)
     result = None
     if name == "profiling":
-        report, result = experiments.experiment_profiling(
-            sites, fracs or [0.923, 0.015, 0.039, 0.023], seed=seed
-        )
+        report, result = experiments.experiment_profiling(sites, fracs, seed=seed)
     elif name == "expiration":
         report, result = experiments.experiment_expiration(
-            sites,
-            fracs or [1942 / 2308, 172 / 2308, 115 / 2308, 57 / 2308, 17 / 2308, 5 / 2308],
-            gap_days=gap_days,
-            seed=seed,
+            sites, fracs, gap_days=gap_days, seed=seed
         )
     elif name == "external-id":
-        f = fracs or [68 / 2308, 55 / 68, 4 / 68]
-        report, result = experiments.experiment_external_id(
-            sites, f[0], f[1], seed=seed, default_anonymous_fraction=f[2]
-        )
+        report, result = experiments.experiment_external_id(sites, *(fracs or ()), seed=seed)
     elif name == "propagation":
         report, _results = experiments.experiment_propagation(sites, seed=seed)
     elif name == "consent":
-        f = fracs or [310 / 480, 4 / 310]
-        report, _results = experiments.experiment_consent(
-            sites, f[0], seed=seed, interaction_gated_fraction=f[1]
-        )
+        report, _results = experiments.experiment_consent(sites, *(fracs or ()), seed=seed)
     else:  # four-day
         result = experiments.run_four_day(seed)
         report = result.report

@@ -18,11 +18,13 @@ from .reporting import MetricsReport, tally_classes, third_party_distribution
 from .scenarios import RunResult, Scenario, Step, run
 from .social import PlatformFeed
 from .world import (
+    COOKIE_LIFETIME_MS,
     DAY_MS,
     ConsentMode,
     ExpirationPolicy,
     ReportingClass,
     SiteConfig,
+    World,
 )
 
 CLOSURE_NOTE = (
@@ -45,6 +47,14 @@ EXPIRATION_POLICY_ORDER = [
     ExpirationPolicy.ONLY_RELOAD,
     ExpirationPolicy.ROTATE_VALUE,
 ]
+
+# The paper's populations.  An experiment given no fraction uses these.
+PROFILING_FRACTIONS = (0.923, 0.015, 0.039, 0.023)  # REPORTING_CLASS_ORDER
+EXPIRATION_FRACTIONS = (  # EXPIRATION_POLICY_ORDER
+    1942 / 2308, 172 / 2308, 115 / 2308, 57 / 2308, 17 / 2308, 5 / 2308,
+)
+EXTERNAL_ID_FRACTIONS = (68 / 2308, 55 / 68, 4 / 68)  # sharing, stable, default-anonymous
+CONSENT_FRACTIONS = (310 / 480, 4 / 310)  # non-compliant, interaction-gated
 
 
 def allocate_counts(total: int, fractions: list[float]) -> list[int]:
@@ -86,7 +96,7 @@ def experiment_profiling(
 ) -> tuple[MetricsReport, RunResult]:
     """Visit every site plain (S1, S2), then with a click ID (S4)."""
     if class_counts is None:
-        class_counts = allocate_counts(n_sites, class_fractions)
+        class_counts = allocate_counts(n_sites, class_fractions or PROFILING_FRACTIONS)
     if sum(class_counts) != n_sites:
         raise ValueError("class counts do not sum to site total")
 
@@ -177,7 +187,7 @@ def experiment_expiration(
         gap_days = (gap_days, gap_days)
     g1, g2 = gap_days
     if policy_counts is None:
-        policy_counts = allocate_counts(n_sites, policy_fractions)
+        policy_counts = allocate_counts(n_sites, policy_fractions or EXPIRATION_FRACTIONS)
     if sum(policy_counts) != n_sites:
         raise ValueError("policy counts do not sum to site total")
 
@@ -211,7 +221,20 @@ def experiment_expiration(
         seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps
     )
     observations = {d: _ExpirationObservation([], [], [], []) for d in domains}
-    result = _run_with_probe(scenario, domains, step_days, observations)
+
+    def probe(step: Step, world: World) -> None:
+        # Only a site's own steps touch the crawler's jar for that site, so
+        # right after its step the jar holds what a whole crawl pass leaves.
+        domain = step.params["site"]
+        entry = world.browser("crawler").jar(domain).entries.get(FBP_NAME)
+        obs = observations[domain]
+        # Copied out: a later touch() moves ``expires`` in place.
+        obs.values.append(entry.value if entry else None)
+        obs.expiries.append(entry.expires if entry else None)
+        obs.created.append(entry.created if entry else None)
+        obs.ticks.append(world.clock.now)
+
+    result = run(scenario, observe=probe)
 
     creation_violations = 0
     update_violations = 0
@@ -237,35 +260,6 @@ def experiment_expiration(
     return report, result
 
 
-def _run_with_probe(scenario, domains, step_days, observations) -> RunResult:
-    """Run the crawl in cumulative passes, snapshotting cookies after each.
-
-    Deterministic replay makes the per-pass world identical to the prefix
-    of the full run, so inspecting the jar after each pass is equivalent
-    to probing mid-run.
-    """
-    result = None
-    for k in range(len(step_days)):
-        boundary = len(domains) * (k + 1)
-        partial = Scenario(
-            seed=scenario.seed,
-            sites=scenario.sites,
-            browsers=scenario.browsers,
-            steps=scenario.steps[:boundary],
-            consent_mode=scenario.consent_mode,
-        )
-        result = run(partial)
-        for domain in domains:
-            jar = result.world.browser("crawler").jar(domain)
-            entry = jar.entries.get(FBP_NAME)
-            obs = observations[domain]
-            obs.values.append(entry.value if entry else None)
-            obs.expiries.append(entry.expires if entry else None)
-            obs.created.append(entry.created if entry else None)
-            obs.ticks.append(result.world.clock.now)
-    return result
-
-
 def _classify_expiration(obs: _ExpirationObservation) -> ExpirationPolicy:
     values, expiries = obs.values, obs.expiries
     if all(v is None for v in values):
@@ -286,8 +280,6 @@ def _classify_expiration(obs: _ExpirationObservation) -> ExpirationPolicy:
 def _creation_law_violations(obs: _ExpirationObservation) -> int:
     """Count passes after which a freshly written cookie does not expire
     exactly 90 days past its creation timestamp."""
-    from .world import COOKIE_LIFETIME_MS
-
     violations = 0
     previous_value = None
     for value, expires, created in zip(obs.values, obs.expiries, obs.created):
@@ -319,18 +311,25 @@ def _update_law_violations(obs: _ExpirationObservation) -> int:
 
 def experiment_external_id(
     n_sites: int,
-    sharing_fraction: float,
-    stable_fraction: float,
+    sharing_fraction: float | None = None,
+    stable_fraction: float | None = None,
+    default_anonymous_fraction: float | None = None,
     seed: int = 0,
-    default_anonymous_fraction: float = 0.0,
 ) -> tuple[MetricsReport, RunResult]:
     """Visit, revisit, drop the browser-ID cookie, revisit again.
 
     Sharing sites send a site-assigned external ID with every report;
     stable ones keep it across the cookie drop and therefore re-identify
     the visitor, rotating ones do not.  Default-anonymous sites hand the
-    same ID to every browser, incognito included.
+    same ID to every browser, incognito included.  A fraction left as
+    ``None`` takes its value from ``EXTERNAL_ID_FRACTIONS``.
     """
+    if sharing_fraction is None:
+        sharing_fraction = EXTERNAL_ID_FRACTIONS[0]
+    if stable_fraction is None:
+        stable_fraction = EXTERNAL_ID_FRACTIONS[1]
+    if default_anonymous_fraction is None:
+        default_anonymous_fraction = EXTERNAL_ID_FRACTIONS[2]
     n_sharing = allocate_counts(n_sites, [sharing_fraction, 1 - sharing_fraction])[0]
     n_stable = allocate_counts(n_sharing, [stable_fraction, 1 - stable_fraction])[0] if n_sharing else 0
     n_default = (
@@ -374,6 +373,11 @@ def experiment_external_id(
     tick = DAY_MS
     for domain in domains:  # S2
         steps.append(Step(next_tick(), "Visit", {"browser": "b1", "site": domain}))
+    # Rotating sites assign a fresh ID once the old session is gone; the
+    # rotations fill the ticks just before the deletions.
+    tick = 2 * DAY_MS - len(rotating) - 1
+    for domain in rotating:
+        steps.append(Step(next_tick(), "RotateExternalId", {"browser": "b1", "site": domain}))
     tick = 2 * DAY_MS
     for domain in domains:  # forced cookie loss before S3
         steps.append(
@@ -386,24 +390,20 @@ def experiment_external_id(
         steps.append(Step(next_tick(), "Visit", {"browser": "b2", "site": domain}))
         steps.append(Step(next_tick(), "Visit", {"browser": "b3", "site": domain}))
 
-    scenario = Scenario(seed=seed, sites=sites, browsers=browsers, steps=steps)
-    # Rotating sites assign a fresh ID once the old session is gone.
-    result = _run_with_rotation(scenario, rotating, rotate_before_tick=2 * DAY_MS)
+    result = run(Scenario(seed=seed, sites=sites, browsers=browsers, steps=steps))
 
     # Per-site observation from the hop-0 log.
-    from .cookies import TrackedUrl
-
     ext_by_site_browser: dict[str, dict[str, set[str]]] = {}
     fbp_by_site: dict[str, list[str]] = {}
-    for record, browser in zip(result.log, result.log_browsers()):
+    for record in result.log:
         if record.hop != 0:
             continue
-        site = TrackedUrl.parse(record.report.page_url).origin
+        site = record.site
         if record.report.external_id is not None:
-            ext_by_site_browser.setdefault(site, {}).setdefault(browser, set()).add(
+            ext_by_site_browser.setdefault(site, {}).setdefault(record.browser_id, set()).add(
                 record.report.external_id
             )
-        if record.report.fbp is not None and browser == "b1":
+        if record.report.fbp is not None and record.browser_id == "b1":
             values = fbp_by_site.setdefault(site, [])
             if record.report.fbp not in values:
                 values.append(record.report.fbp)
@@ -425,7 +425,8 @@ def experiment_external_id(
         and len(set().union(*ext_by_site_browser[site].values())) == 1
     ]
 
-    report = result.report
+    # Only this experiment's own counters, not the run's.
+    report = MetricsReport()
     report.counters.update(
         {
             "sites_total": n_sites,
@@ -439,54 +440,6 @@ def experiment_external_id(
     )
     report.notes.append(CLOSURE_NOTE)
     return report, result
-
-
-def _run_with_rotation(
-    scenario: Scenario, rotating: list[str], rotate_before_tick: int
-) -> RunResult:
-    """Like :func:`run`, but rotates external IDs at a tick boundary."""
-    from . import scenarios as _sc
-    from .tracker import IdentityGraph
-    from .world import World
-
-    scenario.validate()
-    world = World(seed=scenario.seed)
-    world.consent_mode = scenario.consent_mode
-    feed = PlatformFeed(seed=scenario.seed)
-    graph = IdentityGraph(click_ledger=feed)
-    for config in scenario.sites:
-        world.add_site(config)
-    for spec in scenario.browsers:
-        world.spawn_browser(
-            spec["id"],
-            incognito=spec.get("incognito", False),
-            user_agent=spec.get("user_agent", "ua-default"),
-        )
-    log: list[EmissionRecord] = []
-    log_steps: list[int] = []
-    rotated = False
-    for index, step in enumerate(scenario.steps):
-        if not rotated and step.tick >= rotate_before_tick:
-            for site in rotating:
-                world.external_ids.rotate(site, "b1")
-            rotated = True
-        world.clock.advance(step.tick - world.clock.now)
-        emissions = _sc._execute(world, feed, graph, step)
-        for record in emissions:
-            log.append(record)
-            log_steps.append(index)
-            if record.hop == 0:
-                graph.ingest(record.report)
-        world.end_step()
-    return RunResult(
-        scenario=scenario,
-        world=world,
-        feed=feed,
-        graph=graph,
-        log=log,
-        log_steps=log_steps,
-        report=MetricsReport(),
-    )
 
 
 # -- click-ID third-party propagation --------------------------------------
@@ -614,15 +567,12 @@ def emission_signatures(log: list[EmissionRecord], sites: list[str]) -> dict[str
     Click-ID values themselves are excluded so signatures can be compared
     across injected variants.
     """
-    from .cookies import TrackedUrl
-
     per_site: dict[str, list[str]] = {site: [] for site in sites}
     for record in log:
-        site = TrackedUrl.parse(record.report.page_url).origin
-        if site not in per_site:
+        if record.site not in per_site:
             continue
         r = record.report
-        per_site[site].append(
+        per_site[record.site].append(
             f"{r.destination}|h{record.hop}"
             f"|fbp={int(r.fbp is not None)}"
             f"|fbc={int(r.fbc is not None)}"
@@ -636,11 +586,18 @@ def emission_signatures(log: list[EmissionRecord], sites: list[str]) -> dict[str
 
 def experiment_consent(
     n_sites: int,
-    noncompliant_fraction: float,
+    noncompliant_fraction: float | None = None,
+    interaction_gated_fraction: float | None = None,
     seed: int = 0,
-    interaction_gated_fraction: float = 0.0,
 ) -> tuple[MetricsReport, dict[str, RunResult]]:
-    """Visit the population under all three consent modes; count cookies."""
+    """Visit the population under all three consent modes; count cookies.
+
+    A fraction left as ``None`` takes its value from ``CONSENT_FRACTIONS``.
+    """
+    if noncompliant_fraction is None:
+        noncompliant_fraction = CONSENT_FRACTIONS[0]
+    if interaction_gated_fraction is None:
+        interaction_gated_fraction = CONSENT_FRACTIONS[1]
     n_noncompliant = allocate_counts(
         n_sites, [noncompliant_fraction, 1 - noncompliant_fraction]
     )[0]

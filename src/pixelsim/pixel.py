@@ -57,6 +57,8 @@ class PageVisit:
 class EmissionRecord:
     report: EventReport
     hop: int  # 0 tracker, 1 first-hop third party, 2 second-hop
+    site: str  # the visited site, as configured
+    browser_id: str  # the browser that made the visit
 
 
 def classify_visit(browser_id: str, site: str, url: TrackedUrl, tick: int,
@@ -164,18 +166,18 @@ def on_page_event(world: World, visit: PageVisit, event: EventName) -> list[Emis
             fbclid_param=bare,
             external_id=external_id_for(world, site, visit.browser_id),
         )
-        emissions.append(EmissionRecord(report=report, hop=0))
+        emissions.append(EmissionRecord(report, 0, visit.site, visit.browser_id))
 
     for third_party in site.first_hop_third_parties:
-        emissions.append(
-            EmissionRecord(report=_forwarded(site, event, page_url, now, third_party,
-                                             fbp_value, fbclid), hop=1)
-        )
+        emissions.append(EmissionRecord(
+            _forwarded(site, event, page_url, now, third_party, fbp_value, fbclid),
+            1, visit.site, visit.browser_id,
+        ))
         for forwardee in site.second_hop_forwarding.get(third_party, ()):
-            emissions.append(
-                EmissionRecord(report=_forwarded(site, event, page_url, now, forwardee,
-                                                 fbp_value, fbclid), hop=2)
-            )
+            emissions.append(EmissionRecord(
+                _forwarded(site, event, page_url, now, forwardee, fbp_value, fbclid),
+                2, visit.site, visit.browser_id,
+            ))
     return emissions
 
 

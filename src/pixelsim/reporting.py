@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from .errors import MissingMetric
-from .cookies import TrackedUrl
 from .pixel import EmissionRecord
 from .world import TRACKER_DOMAIN
 
@@ -105,10 +104,6 @@ class MetricsReport:
         return out.getvalue()
 
 
-def _report_site(record: EmissionRecord) -> str:
-    return TrackedUrl.parse(record.report.page_url).origin
-
-
 def tally_classes(log: list[EmissionRecord], sites: list[str]) -> dict[str, int]:
     """Partition sites by the reporting behavior actually observed.
 
@@ -121,11 +116,10 @@ def tally_classes(log: list[EmissionRecord], sites: list[str]) -> dict[str, int]
     for record in log:
         if record.hop != 0:
             continue
-        site = _report_site(record)
         if record.report.fbc is not None or record.report.fbclid_param is not None:
-            clicked.add(site)
+            clicked.add(record.site)
         else:
-            plain.add(site)
+            plain.add(record.site)
     tallies = {"Both": 0, "FbpOnlyWithFbclid": 0, "FbpOnly": 0, "Silent": 0}
     for site in sites:
         if site in clicked and site in plain:
@@ -155,7 +149,7 @@ def destination_sets(
     for record in log:
         if record.hop not in (1, 2):
             continue
-        site = _report_site(record)
+        site = record.site
         if site not in result:
             continue
         destination = record.report.destination

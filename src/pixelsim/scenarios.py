@@ -8,15 +8,19 @@ with the same scenario are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 from .cookies import EventName, TrackedUrl
 from .errors import SimulatorError, ValidationError
 from .pixel import EmissionRecord, classify_visit, on_page_event
 from .reporting import MetricsReport
-from .social import PlatformFeed, record_click
+from .social import PlatformFeed
 from .tracker import IdentityGraph
 from .world import DAY_MS, ConsentMode, SiteConfig, World
 
@@ -30,6 +34,7 @@ ACTIONS = {
     "DeleteCookie",
     "AdvanceDays",
     "InjectFbclid",
+    "RotateExternalId",
 }
 
 
@@ -65,22 +70,13 @@ class RunResult:
     feed: PlatformFeed
     graph: IdentityGraph
     log: list[EmissionRecord]
-    log_steps: list[int]  # step index per log entry
     report: MetricsReport
 
-    def log_browsers(self) -> list[str]:
-        """Browser responsible for each log entry (platform clicks included)."""
-        browsers = []
-        for index in self.log_steps:
-            step = self.scenario.steps[index]
-            browser = step.params.get("browser")
-            if browser is None and "account" in step.params:
-                browser = _browser_of(self.world, step.params["account"])
-            browsers.append(browser or "")
-        return browsers
 
-
-def run(scenario: Scenario) -> RunResult:
+def run(
+    scenario: Scenario, observe: Callable[[Step, World], None] | None = None
+) -> RunResult:
+    """Execute ``scenario``; ``observe(step, world)`` runs after each step."""
     scenario.validate()
     world = World(seed=scenario.seed)
     world.consent_mode = scenario.consent_mode
@@ -96,7 +92,6 @@ def run(scenario: Scenario) -> RunResult:
         )
 
     log: list[EmissionRecord] = []
-    log_steps: list[int] = []
 
     for index, step in enumerate(scenario.steps):
         if step.tick < world.clock.now:
@@ -108,10 +103,11 @@ def run(scenario: Scenario) -> RunResult:
             raise ValidationError(str(exc), index) from exc
         for record in emissions:
             log.append(record)
-            log_steps.append(index)
             if record.hop == 0:
                 graph.ingest(record.report)
         world.end_step()
+        if observe is not None:
+            observe(step, world)
 
     report = MetricsReport(
         counters={
@@ -131,13 +127,20 @@ def run(scenario: Scenario) -> RunResult:
         feed=feed,
         graph=graph,
         log=log,
-        log_steps=log_steps,
         report=report,
     )
 
 
 def _site_url(site: str, extras: list[tuple[str, str]] | None = None) -> TrackedUrl:
     return TrackedUrl(origin=site, path="/", query=tuple(extras or ()))
+
+
+def _page_event(
+    world: World, step: Step, browser_id: str, url: TrackedUrl, reload: bool = False
+) -> list[EmissionRecord]:
+    """A page visit to ``url``: the one place a visit's kind is decided."""
+    visit = classify_visit(browser_id, url.origin, url, step.tick, reload=reload)
+    return on_page_event(world, visit, EventName(step.params.get("event", "PageView")))
 
 
 def _execute(
@@ -148,16 +151,10 @@ def _execute(
 
     if action == "Visit":
         extras = [tuple(pair) for pair in p.get("url_extras", [])]
-        visit = classify_visit(
-            p["browser"], p["site"], _site_url(p["site"], extras), step.tick
-        )
-        return on_page_event(world, visit, EventName(p.get("event", "PageView")))
+        return _page_event(world, step, p["browser"], _site_url(p["site"], extras))
 
     if action == "Reload":
-        visit = classify_visit(
-            p["browser"], p["site"], _site_url(p["site"]), step.tick, reload=True
-        )
-        return on_page_event(world, visit, EventName(p.get("event", "PageView")))
+        return _page_event(world, step, p["browser"], _site_url(p["site"]), reload=True)
 
     if action == "PlatformLoad":
         world.account(p["account"])
@@ -171,13 +168,13 @@ def _execute(
         if load is None:
             raise ValidationError(f"no platform page load for account {account!r}")
         browser_id = p.get("browser") or _browser_of(world, account)
-        target = _site_url(p["site"])
+        # on_page_event skips the browser lookup where the pixel is off.
+        world.browser(browser_id)
         world.site(p["site"])
         decorated, _entry = feed.decorate_outbound(
-            load, target, p.get("element_class", "feed-link")
+            load, _site_url(p["site"]), p.get("element_class", "feed-link")
         )
-        visit = record_click(world, browser_id, decorated)
-        return on_page_event(world, visit, EventName(p.get("event", "PageView")))
+        return _page_event(world, step, browser_id, decorated)
 
     if action == "CreateAccount":
         world.create_account(p["account"])
@@ -199,11 +196,13 @@ def _execute(
         return []
 
     if action == "InjectFbclid":
-        value = p["value"]
-        world.injected_fbclids.add(value)
-        url = _site_url(p["site"], [("fbclid", value)])
-        visit = classify_visit(p["browser"], p["site"], url, step.tick)
-        return on_page_event(world, visit, EventName(p.get("event", "PageView")))
+        url = _site_url(p["site"], [("fbclid", p["value"])])
+        return _page_event(world, step, p["browser"], url)
+
+    if action == "RotateExternalId":
+        world.browser(p["browser"])
+        world.external_ids.rotate(world.site(p["site"]).domain, p["browser"])
+        return []
 
     raise ValidationError(f"unknown action {action!r}")
 
@@ -251,46 +250,38 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _site_to_dict(site: SiteConfig) -> dict:
-    return {
-        "domain": site.domain,
-        "has_pixel": site.has_pixel,
-        "pixel_id": site.pixel_id,
-        "tracked_events": sorted(e.value for e in site.tracked_events),
-        "expiration_policy": site.expiration_policy.value,
-        "reporting_class": site.reporting_class.value,
-        "strips_fbclid": site.strips_fbclid,
-        "shares_external_id": site.shares_external_id,
-        "external_id_default_when_anonymous": site.external_id_default_when_anonymous,
-        "consent_compliant": site.consent_compliant,
-        "consent_requires_interaction": site.consent_requires_interaction,
-        "first_hop_third_parties": list(site.first_hop_third_parties),
-        "second_hop_forwarding": {
-            k: list(v) for k, v in sorted(site.second_hop_forwarding.items())
-        },
-    }
+    return {f.name: _to_json(getattr(site, f.name)) for f in dataclasses.fields(SiteConfig)}
+
+
+def _to_json(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(_to_json(v) for v in value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in sorted(value.items())}
+    return value
 
 
 def _site_from_dict(data: dict) -> SiteConfig:
-    from .world import ExpirationPolicy, ReportingClass
+    types = typing.get_type_hints(SiteConfig)
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ValidationError(f"unknown site config key {unknown[0]!r}")
+    try:
+        return SiteConfig(**{name: _from_json(types[name], v) for name, v in data.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad site config {data.get('domain')!r}: {exc}") from exc
 
-    return SiteConfig(
-        domain=data["domain"],
-        has_pixel=data.get("has_pixel", True),
-        pixel_id=data.get("pixel_id", ""),
-        tracked_events=frozenset(
-            EventName(e) for e in data.get("tracked_events", ["PageView"])
-        ),
-        expiration_policy=ExpirationPolicy(data.get("expiration_policy", "EveryEvent")),
-        reporting_class=ReportingClass(data.get("reporting_class", "Both")),
-        strips_fbclid=data.get("strips_fbclid", False),
-        shares_external_id=data.get("shares_external_id", False),
-        external_id_default_when_anonymous=data.get(
-            "external_id_default_when_anonymous", False
-        ),
-        consent_compliant=data.get("consent_compliant", False),
-        consent_requires_interaction=data.get("consent_requires_interaction", False),
-        first_hop_third_parties=tuple(data.get("first_hop_third_parties", [])),
-        second_hop_forwarding={
-            k: tuple(v) for k, v in data.get("second_hop_forwarding", {}).items()
-        },
-    )
+
+def _from_json(tp, value):
+    origin = typing.get_origin(tp)
+    if origin in (frozenset, tuple):
+        return origin(_from_json(typing.get_args(tp)[0], v) for v in value)
+    if origin is dict:
+        return {k: _from_json(typing.get_args(tp)[1], v) for k, v in value.items()}
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(value)
+    return value

@@ -15,15 +15,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .cookies import (
-    CLICK_ID_ALPHABET,
-    CLICK_ID_LENGTH,
-    Fbclid,
-    TrackedUrl,
-    extract_fbclid,
-)
-from .pixel import PageVisit, VisitKind
-from .world import World
+from .cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, Fbclid, TrackedUrl
 
 ARRAY_SIZE = 50
 
@@ -150,21 +142,3 @@ class PlatformFeed:
         """Ledger entries issuing ``fbclid_value``, in ledger order."""
         return list(self._entries_by_value.get(fbclid_value, ()))
 
-
-def record_click(world: World, browser_id: str, decorated_url: TrackedUrl) -> PageVisit:
-    """Turn a click on a decorated link into the resulting page visit."""
-    site = world.site(decorated_url.origin)  # raises UnknownSite
-    world.browser(browser_id)
-    # A stripped link (countermeasure) degrades to a plain visit.
-    kind = (
-        VisitKind.VISIT_WITH_FBCLID
-        if extract_fbclid(decorated_url) is not None
-        else VisitKind.VISIT
-    )
-    return PageVisit(
-        browser_id=browser_id,
-        site=site.domain,
-        url=decorated_url,
-        kind=kind,
-        tick=world.clock.now,
-    )

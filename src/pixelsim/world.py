@@ -208,9 +208,6 @@ class World:
         self.accounts: dict[str, Account] = {}
         self.external_ids = ExternalIdRegistry(seed)
         self.consent_mode = ConsentMode.ACCEPT_ALL
-        # Click-ID values injected by the scenario rather than issued by the
-        # platform; kept for the ledger-completeness audit.
-        self.injected_fbclids: set[str] = set()
 
     # -- entity management -------------------------------------------------
 
@@ -255,16 +252,6 @@ class World:
             return self.accounts[account_id]
         except KeyError:
             raise UnknownAccount(account_id) from None
-
-    # -- jar access (convenience wrappers used by the pixel engine) --------
-
-    def jar_read(self, browser_id: str, domain: str, name: str) -> str | None:
-        return self.browser(browser_id).jar(domain).read(name, self.clock.now)
-
-    def jar_write(
-        self, browser_id: str, domain: str, name: str, value: str, created: int, expires: int
-    ) -> None:
-        self.browser(browser_id).jar(domain).write(name, value, created, expires)
 
     def end_step(self) -> None:
         """Incognito jars do not survive past the step that filled them."""

@@ -316,11 +316,10 @@ def test_criterion_8_external_id():
     graph = result.graph
     stable, rotating = "site00000.example", "site00001.example"
     per_site: dict[str, list[str]] = {}
-    for record, browser in zip(result.log, result.log_browsers()):
-        if record.hop != 0 or browser != "b1":
+    for record in result.log:
+        if record.hop != 0 or record.browser_id != "b1":
             continue
-        site = TrackedUrl.parse(record.report.page_url).origin
-        values = per_site.setdefault(site, [])
+        values = per_site.setdefault(record.site, [])
         if record.report.fbp not in values:
             values.append(record.report.fbp)
 

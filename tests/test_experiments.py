@@ -96,6 +96,36 @@ class TestExternalId:
         assert report.counters["observed_incognito_default"] == 2
 
 
+class TestPaperDefaults:
+    def test_no_fraction_call_equals_explicit_call(self):
+        pairs = [
+            (
+                experiment_profiling(40, seed=1),
+                experiment_profiling(40, [0.923, 0.015, 0.039, 0.023], seed=1),
+            ),
+            (
+                experiment_expiration(40, seed=1),
+                experiment_expiration(
+                    40,
+                    [1942 / 2308, 172 / 2308, 115 / 2308, 57 / 2308, 17 / 2308, 5 / 2308],
+                    seed=1,
+                ),
+            ),
+            (
+                experiment_external_id(40, seed=1),
+                experiment_external_id(
+                    40, 68 / 2308, 55 / 68, seed=1, default_anonymous_fraction=4 / 68
+                ),
+            ),
+            (
+                experiment_consent(40, seed=1),
+                experiment_consent(40, 310 / 480, seed=1, interaction_gated_fraction=4 / 310),
+            ),
+        ]
+        for (default, _), (explicit, _) in pairs:
+            assert default.to_json() == explicit.to_json()
+
+
 class TestPropagation:
     def test_default_fanout_shape(self):
         counts = default_fanout_counts(500)

@@ -28,7 +28,7 @@ def record(site, hop=0, dest="tracker.example", fbc=None, clid=None):
         fbc=fbc,
         fbclid_param=Fbclid(clid) if clid else None,
     )
-    return EmissionRecord(report=report, hop=hop)
+    return EmissionRecord(report=report, hop=hop, site=site, browser_id="b1")
 
 
 class TestDistribution:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pixelsim.cookies import TrackedUrl
 from pixelsim.errors import ValidationError
 from pixelsim.pixel import FBP_NAME
 from pixelsim.scenarios import (
@@ -78,7 +79,8 @@ class TestExecution:
         result = run(simple_scenario())
         assert result.report.counters["emissions_hop0"] == 2
         assert result.report.counters["profiles"] == 1
-        assert result.log_steps == [0, 1]
+        assert [r.report.timestamp for r in result.log] == [10, 20]
+        assert [(r.site, r.browser_id) for r in result.log] == [("shop.example", "b1")] * 2
 
     def test_full_deanonymization_path(self):
         scenario = simple_scenario(
@@ -147,10 +149,10 @@ class TestExecution:
             ]
         )
         result = run(scenario)
-        assert result.world.injected_fbclids == {"Injected"}
         assert result.log[0].report.fbc.endswith(".Injected")
+        assert result.feed.entries_for("Injected") == []
 
-    def test_log_browsers_covers_platform_clicks(self):
+    def test_records_carry_browser_of_platform_clicks(self):
         scenario = simple_scenario(
             steps=[
                 Step(1, "CreateAccount", {"browser": "b1", "account": "u1"}),
@@ -159,7 +161,68 @@ class TestExecution:
             ]
         )
         result = run(scenario)
-        assert result.log_browsers() == ["b1"] * len(result.log)
+        assert result.log
+        assert [r.browser_id for r in result.log] == ["b1"] * len(result.log)
+
+    def test_records_carry_the_site_their_url_names(self):
+        # The URL-derived site is the reference the record field replaced.
+        for seed in range(200):
+            for record in run(random_scenario(seed)).log:
+                assert record.site == TrackedUrl.parse(record.report.page_url).origin
+
+    def test_observe_sees_every_step_in_order(self):
+        scenario = random_scenario(7)
+        seen = []
+        run(scenario, observe=lambda step, world: seen.append(step))
+        assert len(scenario.steps) > 1
+        assert len(seen) == len(scenario.steps)
+        assert all(a is b for a, b in zip(seen, scenario.steps))
+
+
+class TestRotateExternalId:
+    def scenario(self, *steps: Step) -> Scenario:
+        return simple_scenario(
+            sites=[
+                SiteConfig(domain="shop.example", shares_external_id=True),
+                SiteConfig(domain="news.example", shares_external_id=True),
+            ],
+            steps=list(steps),
+        )
+
+    def test_rotation_survives_round_trip_and_changes_id_once(self):
+        visit = {"browser": "b1", "site": "shop.example"}
+        scenario = self.scenario(
+            Step(1, "Visit", visit),
+            Step(2, "Visit", {"browser": "b1", "site": "news.example"}),
+            Step(3, "RotateExternalId", visit),
+            Step(4, "Visit", visit),
+            Step(5, "Visit", {"browser": "b1", "site": "news.example"}),
+            Step(6, "Visit", visit),
+        )
+        rebuilt = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+        assert rebuilt.steps == scenario.steps
+        ids: dict[str, list[str]] = {}
+        for record in run(rebuilt).log:
+            ids.setdefault(record.site, []).append(record.report.external_id)
+        first, second, third = ids["shop.example"]
+        assert first != second == third
+        assert len(set(ids["news.example"])) == 1
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"browser": "b1", "site": "nowhere.example"},
+            {"browser": "ghost", "site": "shop.example"},
+        ],
+    )
+    def test_unknown_site_or_browser_fails_with_step_index(self, params):
+        scenario = self.scenario(
+            Step(1, "Visit", {"browser": "b1", "site": "shop.example"}),
+            Step(2, "RotateExternalId", params),
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario)
+        assert excinfo.value.step_index == 1
 
 
 class TestDeterminism:
@@ -185,6 +248,41 @@ class TestScenarioFiles:
         rebuilt = scenario_from_dict(json.loads(json.dumps(data)))
         assert scenario_to_dict(rebuilt) == data
         assert run(rebuilt).world.snapshot() == run(scenario).world.snapshot()
+
+    def test_site_dict_names_every_field(self):
+        data = {
+            "domain": "shop.example",
+            "has_pixel": False,
+            "pixel_id": "px-7",
+            "tracked_events": ["Purchase", "PageView"],
+            "expiration_policy": "OnlyReload",
+            "reporting_class": "FbpOnly",
+            "strips_fbclid": True,
+            "shares_external_id": True,
+            "external_id_default_when_anonymous": True,
+            "consent_compliant": True,
+            "consent_requires_interaction": True,
+            "first_hop_third_parties": ["tp.example", "metrics.shop.example"],
+            "second_hop_forwarding": {"tp.example": ["x.example"], "a.example": []},
+        }
+        expected = dict(
+            data,
+            tracked_events=["PageView", "Purchase"],
+            second_hop_forwarding={"a.example": [], "tp.example": ["x.example"]},
+        )
+        rebuilt = scenario_from_dict({"seed": 1, "sites": [data]})
+        encoded = scenario_to_dict(rebuilt)["sites"][0]
+        assert list(encoded.items()) == list(expected.items())
+
+    def test_unknown_site_key_rejected(self):
+        data = scenario_to_dict(simple_scenario())
+        data["sites"][0] = {"domain": "shop.example", "reporting_clas": "Silent"}
+        with pytest.raises(ValidationError, match="reporting_clas"):
+            scenario_from_dict(data)
+        for bad in ({"domain": "shop.example", "reporting_class": "Loud"}, {"has_pixel": True}):
+            data["sites"][0] = bad
+            with pytest.raises(ValidationError):
+                scenario_from_dict(data)
 
     def test_load_scenario_file(self, tmp_path):
         scenario = simple_scenario(consent_mode=ConsentMode.REJECT_ALL)

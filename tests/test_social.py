@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 
 from pixelsim import social
 from pixelsim.cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, TrackedUrl
-from pixelsim.pixel import VisitKind
 from pixelsim.scenarios import Scenario, Step, run
-from pixelsim.social import ARRAY_SIZE, PlatformFeed, record_click
-from pixelsim.world import SiteConfig, World
+from pixelsim.social import ARRAY_SIZE, PlatformFeed
+from pixelsim.world import SiteConfig
 
 TARGETS = [
     TrackedUrl.parse(f"https://{domain}/")
@@ -206,26 +205,3 @@ class TestLedger:
                 e for e in feed.ledger if e.fbclid.value == value
             ]
 
-
-class TestRecordClick:
-    def _world(self):
-        world = World(seed=1)
-        world.spawn_browser("b1")
-        world.add_site(SiteConfig(domain="shop.example"))
-        return world
-
-    def test_decorated_click_is_click_visit(self):
-        world = self._world()
-        feed = make_feed()
-        load = feed.refresh_click_ids("u1", tick=0)
-        decorated, _ = feed.decorate_outbound(
-            load, TrackedUrl.parse("https://shop.example/"), "ad-card"
-        )
-        visit = record_click(world, "b1", decorated)
-        assert visit.kind is VisitKind.VISIT_WITH_FBCLID
-        assert visit.site == "shop.example"
-
-    def test_stripped_click_degrades_to_plain_visit(self):
-        world = self._world()
-        visit = record_click(world, "b1", TrackedUrl.parse("https://shop.example/"))
-        assert visit.kind is VisitKind.VISIT

@@ -131,16 +131,16 @@ class TestWorld:
         world.spawn_browser("priv", incognito=True)
         world.spawn_browser("norm")
         for bid in ("priv", "norm"):
-            world.jar_write(bid, "a.example", "_fbp", "fb.1.0.1", 0, DAY_MS)
+            world.browser(bid).jar("a.example").write("_fbp", "fb.1.0.1", 0, DAY_MS)
         world.end_step()
-        assert world.jar_read("priv", "a.example", "_fbp") is None
-        assert world.jar_read("norm", "a.example", "_fbp") == "fb.1.0.1"
+        assert world.browser("priv").jar("a.example").read("_fbp", world.clock.now) is None
+        assert world.browser("norm").jar("a.example").read("_fbp", world.clock.now) == "fb.1.0.1"
 
     def test_jars_are_domain_scoped(self):
         world = World(seed=1)
         world.spawn_browser("b1")
-        world.jar_write("b1", "a.example", "_fbp", "x", 0, 100)
-        assert world.jar_read("b1", "b.example", "_fbp") is None
+        world.browser("b1").jar("a.example").write("_fbp", "x", 0, 100)
+        assert world.browser("b1").jar("b.example").read("_fbp", world.clock.now) is None
 
     def test_random_number_range_and_determinism(self):
         a, b = World(seed=9), World(seed=9)
@@ -157,7 +157,7 @@ class TestWorld:
             world.add_site(SiteConfig(domain="z.example"))
             world.add_site(SiteConfig(domain="a.example"))
             world.create_account("u1")
-            world.jar_write("b1", "a.example", "_fbp", "fb.1.0.5", 0, 100)
+            world.browser("b1").jar("a.example").write("_fbp", "fb.1.0.5", 0, 100)
             return world.snapshot()
 
         assert build() == build()
