@@ -2,13 +2,7 @@
 
 import pytest
 
-from pixelsim.cookies import (
-    EventName,
-    TrackedUrl,
-    parse_fbc,
-    parse_fbp,
-    strip_tracking_params,
-)
+from pixelsim.cookies import EventName, TrackedUrl, parse_fbc, parse_fbp
 from pixelsim.pixel import (
     FBC_NAME,
     FBP_NAME,
@@ -17,7 +11,6 @@ from pixelsim.pixel import (
     classify_visit,
     on_page_event,
 )
-from pixelsim.social import PlatformFeed
 from pixelsim.world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
@@ -61,20 +54,6 @@ class TestClassifyVisit:
         world = make_world()
         v = visit(world, f"https://{SITE}/?fbclid=XYZ", reload=True)
         assert v.kind is VisitKind.VISIT_WITH_FBCLID
-
-    def test_platform_links_decorated_and_stripped(self):
-        world = make_world()
-        feed = PlatformFeed(seed=1)
-        load = feed.refresh_click_ids("u1", tick=0)
-        decorated, _ = feed.decorate_outbound(
-            load, TrackedUrl.parse(f"https://{SITE}/"), "ad-card"
-        )
-        clicked = classify_visit("b1", SITE, decorated, world.clock.now)
-        assert clicked.kind is VisitKind.VISIT_WITH_FBCLID
-        assert clicked.site == SITE
-        # A link stripped of its click ID (countermeasure) is a plain visit.
-        stripped = strip_tracking_params(decorated, {"fbclid"})
-        assert classify_visit("b1", SITE, stripped, world.clock.now).kind is VisitKind.VISIT
 
 
 class TestCookieCreation:

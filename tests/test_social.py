@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pixelsim import social
-from pixelsim.cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, TrackedUrl
+from pixelsim.cookies import (
+    CLICK_ID_ALPHABET,
+    CLICK_ID_LENGTH,
+    TrackedUrl,
+    strip_tracking_params,
+)
+from pixelsim.pixel import VisitKind, classify_visit
 from pixelsim.scenarios import Scenario, Step, run
 from pixelsim.social import ARRAY_SIZE, PlatformFeed
 from pixelsim.world import SiteConfig
@@ -205,3 +211,26 @@ class TestLedger:
                 e for e in feed.ledger if e.fbclid.value == value
             ]
 
+
+class TestRecordClick:
+    """A click on a feed link lands on the site as the visit the pixel sees."""
+
+    def _click(self):
+        feed = make_feed()
+        load = feed.refresh_click_ids("u1", tick=0)
+        decorated, _ = feed.decorate_outbound(
+            load, TrackedUrl.parse("https://shop.example/"), "ad-card"
+        )
+        return decorated
+
+    def test_decorated_click_is_click_visit(self):
+        decorated = self._click()
+        visit = classify_visit("b1", decorated.origin, decorated, tick=0)
+        assert visit.kind is VisitKind.VISIT_WITH_FBCLID
+        assert visit.site == "shop.example"
+
+    def test_stripped_click_degrades_to_plain_visit(self):
+        stripped = strip_tracking_params(self._click(), {"fbclid"})
+        visit = classify_visit("b1", stripped.origin, stripped, tick=0)
+        assert visit.kind is VisitKind.VISIT
+        assert visit.site == "shop.example"
