@@ -40,17 +40,45 @@ def _write_outputs(out: Path, report: MetricsReport, result: RunResult | None) -
 @click.option("--out", type=click.Path(), default="out", show_default=True)
 def run_cmd(scenario_file, seed, out):
     """Execute a scenario JSON file."""
-    scenario = load_scenario(scenario_file)
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
-    result = run_scenario(scenario)
+    try:
+        scenario = load_scenario(scenario_file)
+        if seed is not None:
+            scenario = dataclasses.replace(scenario, seed=seed)
+        result = run_scenario(scenario)
+    except SimulatorError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     _write_outputs(Path(out), result.report, result)
 
 
-def _parse_fractions(text: str | None) -> list[float] | None:
+# Each experiment's --fractions takes as many values as its paper fractions:
+# exactly that many where they split the sites into classes, else at most.
+_PAPER_FRACTIONS = {
+    "profiling": experiments.PROFILING_FRACTIONS,
+    "expiration": experiments.EXPIRATION_FRACTIONS,
+    "external-id": experiments.EXTERNAL_ID_FRACTIONS,
+    "consent": experiments.CONSENT_FRACTIONS,
+}
+
+
+def _parse_fractions(name: str, text: str | None) -> list[float] | None:
     if not text:
         return None
-    return [float(x) for x in text.split(",")]
+    try:
+        fracs = [float(x) for x in text.split(",")]
+    except ValueError:
+        fracs = None
+    n = len(_PAPER_FRACTIONS.get(name, ()))
+    split = name in ("profiling", "expiration")
+    if fracs is None or not all(0 <= f <= 1 for f in fracs):
+        problem = "each value must be a number from 0 to 1"
+    elif len(fracs) > n or (split and len(fracs) < n):
+        problem = f"{name} takes {'' if split else 'at most '}{n} values"
+    elif split and abs(sum(fracs) - 1) > 1e-9:
+        problem = "the values must sum to 1"
+    else:
+        return fracs
+    raise click.BadParameter(f"{problem}, not {text!r}", param_hint="'--fractions'")
 
 
 @main.command("experiment")
@@ -60,14 +88,14 @@ def _parse_fractions(text: str | None) -> list[float] | None:
         ["profiling", "expiration", "external-id", "propagation", "consent", "four-day"]
     ),
 )
-@click.option("--sites", type=int, default=2308, show_default=True)
+@click.option("--sites", type=click.IntRange(min=1), default=2308, show_default=True)
 @click.option("--fractions", type=str, default=None, help="Comma-separated class fractions.")
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--gap-days", type=int, default=1, show_default=True)
+@click.option("--gap-days", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def experiment_cmd(name, sites, fractions, seed, gap_days, out):
     """Replay a built-in experiment and print its metrics report."""
-    fracs = _parse_fractions(fractions)
+    fracs = _parse_fractions(name, fractions)
     result = None
     if name == "profiling":
         report, result = experiments.experiment_profiling(sites, fracs, seed=seed)

@@ -274,7 +274,11 @@ def decode_report(s: str) -> EventReport:
     except ValueError:
         raise MalformedReport(f"bad timestamp {fields['ts']!r}") from None
     fbclid = fields.get("fbclid")
-    return EventReport(
+    try:
+        fbclid_param = Fbclid(fbclid) if fbclid else None
+    except MalformedCookie as exc:
+        raise MalformedReport(str(exc)) from exc
+    report = EventReport(
         pixel_id=fields["id"],
         event=event,
         page_url=fields.get("dl", ""),
@@ -282,6 +286,9 @@ def decode_report(s: str) -> EventReport:
         destination=url.origin,
         fbp=fields.get("fbp"),
         fbc=fields.get("fbc"),
-        fbclid_param=Fbclid(fbclid) if fbclid else None,
+        fbclid_param=fbclid_param,
         external_id=fields.get(EXTERNAL_ID_KEY),
     )
+    if not report.has_identifier():
+        raise MalformedReport(f"report carries no identifier: {s!r}")
+    return report

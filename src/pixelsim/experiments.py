@@ -10,7 +10,7 @@ the simulator end to end, not any live-web population.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH
 from .pixel import FBP_NAME, EmissionRecord
@@ -21,6 +21,7 @@ from .world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
     ConsentMode,
+    CookieEntry,
     ExpirationPolicy,
     ReportingClass,
     SiteConfig,
@@ -78,6 +79,16 @@ def _domains(n: int) -> list[str]:
     return [f"site{i:05d}.example" for i in range(n)]
 
 
+def _crawl(start: int, domains: list[str], action: str = "Visit", **params) -> list[Step]:
+    """One crawl pass: ``action`` on each domain in turn, at ticks ``start+1``, ``start+2``, ..."""
+    return [Step(start + i, action, {**params, "site": d}) for i, d in enumerate(domains, 1)]
+
+
+def _share(total: int, fraction: float) -> int:
+    """The part of ``total`` that ``fraction`` allocates, rounded as ``allocate_counts``."""
+    return allocate_counts(total, [fraction, 1 - fraction])[0]
+
+
 def _issued_click_id(seed: int) -> str:
     """A canonical click ID as the platform would hand out."""
     feed = PlatformFeed(seed=seed)
@@ -101,48 +112,25 @@ def experiment_profiling(
         raise ValueError("class counts do not sum to site total")
 
     domains = _domains(n_sites)
-    sites = []
-    i = 0
-    for count, rc in zip(class_counts, REPORTING_CLASS_ORDER):
-        for _ in range(count):
-            sites.append(
-                SiteConfig(
-                    domain=domains[i],
-                    reporting_class=rc,
-                    # The plain-only class is observed on sites that strip
-                    # URL parameters before the pixel sees them.
-                    strips_fbclid=(rc is ReportingClass.FBP_ONLY),
-                )
-            )
-            i += 1
+    classes = [
+        rc
+        for count, rc in zip(class_counts, REPORTING_CLASS_ORDER, strict=True)
+        for _ in range(count)
+    ]
+    sites = [
+        # The plain-only class is observed on sites that strip URL
+        # parameters before the pixel sees them.
+        SiteConfig(domain=d, reporting_class=rc, strips_fbclid=rc is ReportingClass.FBP_ONLY)
+        for d, rc in zip(domains, classes)
+    ]
 
-    click_id = _issued_click_id(seed)
-    steps = []
-    tick = 0
-
-    def next_tick() -> int:
-        nonlocal tick
-        tick += 1
-        return tick
-
-    for domain in domains:  # S1: first crawl
-        steps.append(Step(next_tick(), "Visit", {"browser": "crawler", "site": domain}))
-    tick = DAY_MS  # S2: revisit next day
-    for domain in domains:
-        steps.append(Step(next_tick(), "Visit", {"browser": "crawler", "site": domain}))
-    tick = 2 * DAY_MS  # S4: revisit with the click ID appended
-    for domain in domains:
-        steps.append(
-            Step(
-                next_tick(),
-                "Visit",
-                {
-                    "browser": "crawler",
-                    "site": domain,
-                    "url_extras": [["fbclid", click_id]],
-                },
-            )
-        )
+    click_extras = [["fbclid", _issued_click_id(seed)]]
+    steps = (
+        _crawl(0, domains, browser="crawler")  # S1: first crawl
+        + _crawl(DAY_MS, domains, browser="crawler")  # S2: revisit next day
+        # S4: revisit with the click ID appended
+        + _crawl(2 * DAY_MS, domains, browser="crawler", url_extras=click_extras)
+    )
 
     result = run(
         Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps)
@@ -167,105 +155,85 @@ def experiment_profiling(
 # -- rolling expiration ----------------------------------------------------
 
 
-@dataclass
-class _ExpirationObservation:
-    values: list[str | None]
-    expiries: list[int | None]
-    created: list[int | None]
-    ticks: list[int]
+# One crawl pass as a site's probe saw it: a copy of its _fbp entry (None
+# when absent) and the tick.
+_Pass = tuple[CookieEntry | None, int]
 
 
 def experiment_expiration(
     n_sites: int,
     policy_fractions: list[float] | None = None,
-    gap_days: tuple[int, int] | int = (1, 1),
+    gap_days: int = 1,
     seed: int = 0,
     policy_counts: list[int] | None = None,
 ) -> tuple[MetricsReport, RunResult]:
     """Visit, reload, then visit with a click ID; classify expiry updates."""
-    if isinstance(gap_days, int):
-        gap_days = (gap_days, gap_days)
-    g1, g2 = gap_days
     if policy_counts is None:
         policy_counts = allocate_counts(n_sites, policy_fractions or EXPIRATION_FRACTIONS)
     if sum(policy_counts) != n_sites:
         raise ValueError("policy counts do not sum to site total")
 
     domains = _domains(n_sites)
-    sites = []
-    policy_of: dict[str, ExpirationPolicy] = {}
-    i = 0
-    for count, policy in zip(policy_counts, EXPIRATION_POLICY_ORDER):
-        for _ in range(count):
-            sites.append(SiteConfig(domain=domains[i], expiration_policy=policy))
-            policy_of[domains[i]] = policy
-            i += 1
+    policies = [
+        policy
+        for count, policy in zip(policy_counts, EXPIRATION_POLICY_ORDER, strict=True)
+        for _ in range(count)
+    ]
+    policy_of = dict(zip(domains, policies))
+    sites = [SiteConfig(domain=d, expiration_policy=p) for d, p in policy_of.items()]
 
-    click_id = _issued_click_id(seed)
-    # Per-site step ticks are day-aligned with a fixed per-site offset so
-    # expiry differences come out as exact multiples of a day.
-    step_days = [0, g1, g1 + g2]
-    steps = []
-    for step_index, day in enumerate(step_days):
-        for site_index, domain in enumerate(domains):
-            params: dict = {"browser": "crawler", "site": domain}
-            action = "Visit"
-            if step_index == 1:
-                action = "Reload"
-            elif step_index == 2:
-                params["url_extras"] = [["fbclid", click_id]]
-            steps.append(Step(day * DAY_MS + site_index + 1, action, params))
-    steps.sort(key=lambda s: s.tick)
-
-    scenario = Scenario(
-        seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps
+    # Each pass starts on a day boundary and gives a site the same offset,
+    # so expiry differences come out as exact multiples of a day.
+    click_extras = [["fbclid", _issued_click_id(seed)]]
+    steps = (
+        _crawl(0, domains, browser="crawler")
+        + _crawl(gap_days * DAY_MS, domains, "Reload", browser="crawler")
+        + _crawl(2 * gap_days * DAY_MS, domains, browser="crawler", url_extras=click_extras)
     )
-    observations = {d: _ExpirationObservation([], [], [], []) for d in domains}
+
+    passes: dict[str, list[_Pass]] = {d: [] for d in domains}
 
     def probe(step: Step, world: World) -> None:
         # Only a site's own steps touch the crawler's jar for that site, so
         # right after its step the jar holds what a whole crawl pass leaves.
-        domain = step.params["site"]
-        entry = world.browser("crawler").jar(domain).entries.get(FBP_NAME)
-        obs = observations[domain]
-        # Copied out: a later touch() moves ``expires`` in place.
-        obs.values.append(entry.value if entry else None)
-        obs.expiries.append(entry.expires if entry else None)
-        obs.created.append(entry.created if entry else None)
-        obs.ticks.append(world.clock.now)
+        entry = world.browser("crawler").jar(step.params["site"]).entries.get(FBP_NAME)
+        # Copied: a later touch() moves ``expires`` in place.
+        passes[step.params["site"]].append((replace(entry) if entry else None, world.clock.now))
 
-    result = run(scenario, observe=probe)
+    result = run(
+        Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps),
+        observe=probe,
+    )
 
     creation_violations = 0
     update_violations = 0
     tallies = {p.value: 0 for p in EXPIRATION_POLICY_ORDER}
     for domain in domains:
-        obs = observations[domain]
-        observed = _classify_expiration(obs)
-        tallies[observed.value] += 1
-        creation_violations += _creation_law_violations(obs)
+        tallies[_classify_expiration(passes[domain]).value] += 1
+        creation_violations += _creation_law_violations(passes[domain])
         if policy_of[domain] is ExpirationPolicy.EVERY_EVENT:
-            update_violations += _update_law_violations(obs)
+            update_violations += _update_law_violations(passes[domain])
 
     report = result.report
     report.classes = tallies
     for count, policy in zip(policy_counts, EXPIRATION_POLICY_ORDER):
         report.counters[f"configured_{policy.value}"] = count
     report.counters["sites_total"] = n_sites
-    report.counters["gap_days_s1_s2"] = g1
-    report.counters["gap_days_s2_s3"] = g2
+    report.counters["gap_days_s1_s2"] = gap_days
+    report.counters["gap_days_s2_s3"] = gap_days
     report.counters["creation_law_violations"] = creation_violations
     report.counters["update_law_violations"] = update_violations
     report.notes.append(CLOSURE_NOTE)
     return report, result
 
 
-def _classify_expiration(obs: _ExpirationObservation) -> ExpirationPolicy:
-    values, expiries = obs.values, obs.expiries
-    if all(v is None for v in values):
+def _classify_expiration(passes: list[_Pass]) -> ExpirationPolicy:
+    values = {entry.value for entry, _ in passes if entry}
+    if not values:
         return ExpirationPolicy.BLOCKED
-    if len(set(v for v in values if v is not None)) > 1:
+    if len(values) > 1:
         return ExpirationPolicy.ROTATE_VALUE
+    expiries = [entry.expires if entry else None for entry, _ in passes]
     updated_s2 = expiries[1] is not None and expiries[1] != expiries[0]
     updated_s3 = expiries[2] is not None and expiries[2] != expiries[1]
     if updated_s2 and updated_s3:
@@ -277,31 +245,27 @@ def _classify_expiration(obs: _ExpirationObservation) -> ExpirationPolicy:
     return ExpirationPolicy.NEVER
 
 
-def _creation_law_violations(obs: _ExpirationObservation) -> int:
+def _creation_law_violations(passes: list[_Pass]) -> int:
     """Count passes after which a freshly written cookie does not expire
     exactly 90 days past its creation timestamp."""
     violations = 0
     previous_value = None
-    for value, expires, created in zip(obs.values, obs.expiries, obs.created):
-        if value is None:
+    for entry, _ in passes:
+        if entry is None:
             continue
-        if value != previous_value:  # a write happened in this pass
-            if expires - created != COOKIE_LIFETIME_MS:
+        if entry.value != previous_value:  # a write happened in this pass
+            if entry.expires - entry.created != COOKIE_LIFETIME_MS:
                 violations += 1
-        previous_value = value
+        previous_value = entry.value
     return violations
 
 
-def _update_law_violations(obs: _ExpirationObservation) -> int:
+def _update_law_violations(passes: list[_Pass]) -> int:
     """On always-updating sites the expiry moves in lockstep with the crawl gap."""
     violations = 0
-    for k in (1, 2):
-        if obs.expiries[k] is None or obs.expiries[k - 1] is None:
-            violations += 1
-            continue
-        # Per-site offsets cancel: both steps share the same ms offset.
-        expected_shift = obs.ticks[k] - obs.ticks[k - 1]
-        if obs.expiries[k] - obs.expiries[k - 1] != expected_shift:
+    # Per-site offsets cancel: a site's steps share the same ms offset.
+    for (before, t0), (after, t1) in zip(passes, passes[1:]):
+        if before is None or after is None or after.expires - before.expires != t1 - t0:
             violations += 1
     return violations
 
@@ -311,9 +275,9 @@ def _update_law_violations(obs: _ExpirationObservation) -> int:
 
 def experiment_external_id(
     n_sites: int,
-    sharing_fraction: float | None = None,
-    stable_fraction: float | None = None,
-    default_anonymous_fraction: float | None = None,
+    sharing_fraction: float = EXTERNAL_ID_FRACTIONS[0],
+    stable_fraction: float = EXTERNAL_ID_FRACTIONS[1],
+    default_anonymous_fraction: float = EXTERNAL_ID_FRACTIONS[2],
     seed: int = 0,
 ) -> tuple[MetricsReport, RunResult]:
     """Visit, revisit, drop the browser-ID cookie, revisit again.
@@ -321,38 +285,24 @@ def experiment_external_id(
     Sharing sites send a site-assigned external ID with every report;
     stable ones keep it across the cookie drop and therefore re-identify
     the visitor, rotating ones do not.  Default-anonymous sites hand the
-    same ID to every browser, incognito included.  A fraction left as
-    ``None`` takes its value from ``EXTERNAL_ID_FRACTIONS``.
+    same ID to every browser, incognito included.  The fractions default
+    to ``EXTERNAL_ID_FRACTIONS``.
     """
-    if sharing_fraction is None:
-        sharing_fraction = EXTERNAL_ID_FRACTIONS[0]
-    if stable_fraction is None:
-        stable_fraction = EXTERNAL_ID_FRACTIONS[1]
-    if default_anonymous_fraction is None:
-        default_anonymous_fraction = EXTERNAL_ID_FRACTIONS[2]
-    n_sharing = allocate_counts(n_sites, [sharing_fraction, 1 - sharing_fraction])[0]
-    n_stable = allocate_counts(n_sharing, [stable_fraction, 1 - stable_fraction])[0] if n_sharing else 0
-    n_default = (
-        allocate_counts(
-            n_sharing, [default_anonymous_fraction, 1 - default_anonymous_fraction]
-        )[0]
-        if n_sharing
-        else 0
-    )
+    n_sharing = _share(n_sites, sharing_fraction)
+    n_stable = _share(n_sharing, stable_fraction)
+    n_default = _share(n_sharing, default_anonymous_fraction)
 
+    # Sharing sites come first; the stable and default-anonymous ones are
+    # prefixes of them.
     domains = _domains(n_sites)
-    sharing = domains[:n_sharing]
-    stable = set(sharing[:n_stable])
-    default_anon = set(sharing[:n_default])
-    rotating = [d for d in sharing if d not in stable]
-
+    rotating = domains[n_stable:n_sharing]
     sites = [
         SiteConfig(
             domain=d,
-            shares_external_id=(d in set(sharing)),
-            external_id_default_when_anonymous=(d in default_anon),
+            shares_external_id=i < n_sharing,
+            external_id_default_when_anonymous=i < n_default,
         )
-        for d in domains
+        for i, d in enumerate(domains)
     ]
     browsers = [
         {"id": "b1", "user_agent": "ua-one"},
@@ -360,41 +310,27 @@ def experiment_external_id(
         {"id": "b3", "user_agent": "ua-one", "incognito": True},
     ]
 
-    steps = []
-    tick = 0
-
-    def next_tick() -> int:
-        nonlocal tick
-        tick += 1
-        return tick
-
-    for domain in domains:  # S1
-        steps.append(Step(next_tick(), "Visit", {"browser": "b1", "site": domain}))
-    tick = DAY_MS
-    for domain in domains:  # S2
-        steps.append(Step(next_tick(), "Visit", {"browser": "b1", "site": domain}))
-    # Rotating sites assign a fresh ID once the old session is gone; the
-    # rotations fill the ticks just before the deletions.
-    tick = 2 * DAY_MS - len(rotating) - 1
-    for domain in rotating:
-        steps.append(Step(next_tick(), "RotateExternalId", {"browser": "b1", "site": domain}))
-    tick = 2 * DAY_MS
-    for domain in domains:  # forced cookie loss before S3
-        steps.append(
-            Step(next_tick(), "DeleteCookie", {"browser": "b1", "site": domain, "name": FBP_NAME})
-        )
-    for domain in domains:  # S3
-        steps.append(Step(next_tick(), "Visit", {"browser": "b1", "site": domain}))
-    tick = 3 * DAY_MS
-    for domain in sharing:  # cross-browser / incognito probe
-        steps.append(Step(next_tick(), "Visit", {"browser": "b2", "site": domain}))
-        steps.append(Step(next_tick(), "Visit", {"browser": "b3", "site": domain}))
+    steps = (
+        _crawl(0, domains, browser="b1")  # S1
+        + _crawl(DAY_MS, domains, browser="b1")  # S2
+        # Rotating sites assign a fresh ID once the old session is gone;
+        # the rotations fill the ticks just before the deletions.
+        + _crawl(2 * DAY_MS - len(rotating) - 1, rotating, "RotateExternalId", browser="b1")
+        # Forced cookie loss before S3.
+        + _crawl(2 * DAY_MS, domains, "DeleteCookie", browser="b1", name=FBP_NAME)
+        + _crawl(2 * DAY_MS + n_sites, domains, browser="b1")  # S3
+        + [  # cross-browser / incognito probe
+            Step(3 * DAY_MS + 2 * i + j, "Visit", {"browser": b, "site": d})
+            for i, d in enumerate(domains[:n_sharing])
+            for j, b in ((1, "b2"), (2, "b3"))
+        ]
+    )
 
     result = run(Scenario(seed=seed, sites=sites, browsers=browsers, steps=steps))
 
     # Per-site observation from the hop-0 log.
     ext_by_site_browser: dict[str, dict[str, set[str]]] = {}
-    fbp_by_site: dict[str, list[str]] = {}
+    fbp_by_site: dict[str, dict[str, None]] = {}  # b1's distinct values, in order
     for record in result.log:
         if record.hop != 0:
             continue
@@ -404,14 +340,12 @@ def experiment_external_id(
                 record.report.external_id
             )
         if record.report.fbp is not None and record.browser_id == "b1":
-            values = fbp_by_site.setdefault(site, [])
-            if record.report.fbp not in values:
-                values.append(record.report.fbp)
+            fbp_by_site.setdefault(site, {})[record.report.fbp] = None
 
     observed_sharing = sorted(ext_by_site_browser)
     merged_sites = []
     for site in observed_sharing:
-        values = fbp_by_site.get(site, [])
+        values = list(fbp_by_site.get(site, ()))
         if len(values) < 2:
             continue
         first = result.graph.profile((site, values[0]))
@@ -469,25 +403,19 @@ def default_fanout_counts(
 
 
 def experiment_propagation(
-    n_sites: int,
-    fanout_spec: list[int] | dict | None = None,
-    variants: tuple[str, ...] = ("real", "random", "dummy"),
-    seed: int = 0,
+    n_sites: int, fanout_spec: dict | None = None, seed: int = 0
 ) -> tuple[MetricsReport, dict[str, RunResult]]:
-    """Inject each click-ID variant and measure third-party fan-out."""
-    if fanout_spec is None:
-        fanout_spec = default_fanout_counts(n_sites)
-    if isinstance(fanout_spec, dict):
-        counts = fanout_spec.get("counts") or default_fanout_counts(
-            n_sites,
-            zero_fraction=fanout_spec.get("zero_fraction", 0.224),
-            median_target=fanout_spec.get("median", 6),
-            max_count=fanout_spec.get("max", 31),
-        )
-        second_hop_fanout = fanout_spec.get("second_hop_fanout", 0)
-    else:
-        counts = list(fanout_spec)
-        second_hop_fanout = 0
+    """Inject each click-ID variant and measure third-party fan-out.
+
+    ``fanout_spec`` may give ``counts`` (one hop-1 fan-out per site; by
+    default ``default_fanout_counts``) and ``second_hop_fanout`` (hop-2
+    destinations per hop-1 one; by default 0).
+    """
+    spec = fanout_spec or {}
+    if not set(spec) <= {"counts", "second_hop_fanout"}:
+        raise ValueError(f"fan-out spec takes counts and second_hop_fanout, not {sorted(spec)}")
+    counts = spec.get("counts") or default_fanout_counts(n_sites)
+    second_hop_fanout = spec.get("second_hop_fanout", 0)
     if len(counts) != n_sites:
         raise ValueError("fan-out spec length does not match site total")
 
@@ -496,16 +424,12 @@ def experiment_propagation(
     for domain, k in zip(domains, counts):
         third_parties = tuple(f"tp{j}.{domain.split('.')[0]}-ads.example" for j in range(k))
         forwarding = {
-            tp: tuple(
-                f"hop2-{j}.{tp}" for j in range(second_hop_fanout)
-            )
+            tp: tuple(f"hop2-{j}.{tp}" for j in range(second_hop_fanout))
             for tp in third_parties
         } if second_hop_fanout else {}
-        extra = ()
-        if k:
-            # One first-party subdomain destination, exercising the
-            # exclusion rule in the distribution.
-            extra = (f"metrics.{domain}",)
+        # One first-party subdomain destination, exercising the exclusion
+        # rule in the distribution.
+        extra = (f"metrics.{domain}",) if k else ()
         sites.append(
             SiteConfig(
                 domain=domain,
@@ -524,15 +448,8 @@ def experiment_propagation(
 
     results: dict[str, RunResult] = {}
     report = MetricsReport()
-    for variant in variants:
-        steps = [
-            Step(
-                i + 1,
-                "InjectFbclid",
-                {"browser": "crawler", "site": domain, "value": values[variant]},
-            )
-            for i, domain in enumerate(domains)
-        ]
+    for variant, value in values.items():
+        steps = _crawl(0, domains, "InjectFbclid", browser="crawler", value=value)
         result = run(
             Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps)
         )
@@ -542,7 +459,7 @@ def experiment_propagation(
             1 for r in result.log if r.hop in (1, 2)
         )
 
-    first = results[variants[0]]
+    first = results["real"]
     unique = third_party_distribution(first.log, domains, "unique_first_hop")
     total = third_party_distribution(first.log, domains, "total_two_hop")
     report.distributions["unique_first_hop"] = unique.cdf_points()
@@ -586,54 +503,38 @@ def emission_signatures(log: list[EmissionRecord], sites: list[str]) -> dict[str
 
 def experiment_consent(
     n_sites: int,
-    noncompliant_fraction: float | None = None,
-    interaction_gated_fraction: float | None = None,
+    noncompliant_fraction: float = CONSENT_FRACTIONS[0],
+    interaction_gated_fraction: float = CONSENT_FRACTIONS[1],
     seed: int = 0,
 ) -> tuple[MetricsReport, dict[str, RunResult]]:
     """Visit the population under all three consent modes; count cookies.
 
-    A fraction left as ``None`` takes its value from ``CONSENT_FRACTIONS``.
+    The fractions default to ``CONSENT_FRACTIONS``.
     """
-    if noncompliant_fraction is None:
-        noncompliant_fraction = CONSENT_FRACTIONS[0]
-    if interaction_gated_fraction is None:
-        interaction_gated_fraction = CONSENT_FRACTIONS[1]
-    n_noncompliant = allocate_counts(
-        n_sites, [noncompliant_fraction, 1 - noncompliant_fraction]
-    )[0]
-    n_gated = (
-        allocate_counts(
-            n_noncompliant, [interaction_gated_fraction, 1 - interaction_gated_fraction]
-        )[0]
-        if n_noncompliant
-        else 0
-    )
+    n_noncompliant = _share(n_sites, noncompliant_fraction)
+    n_gated = _share(n_noncompliant, interaction_gated_fraction)
 
+    # Non-compliant sites come first; the interaction-gated ones are a
+    # prefix of them.
     domains = _domains(n_sites)
-    sites = []
-    for i, domain in enumerate(domains):
-        noncompliant = i < n_noncompliant
-        sites.append(
-            SiteConfig(
-                domain=domain,
-                consent_compliant=not noncompliant,
-                consent_requires_interaction=noncompliant and i < n_gated,
-            )
+    sites = [
+        SiteConfig(
+            domain=d,
+            consent_compliant=i >= n_noncompliant,
+            consent_requires_interaction=i < n_gated,
         )
+        for i, d in enumerate(domains)
+    ]
 
     report = MetricsReport()
     results: dict[str, RunResult] = {}
     for mode in (ConsentMode.ACCEPT_ALL, ConsentMode.REJECT_ALL, ConsentMode.NO_ACTION):
-        steps = [
-            Step(i + 1, "Visit", {"browser": "crawler", "site": domain})
-            for i, domain in enumerate(domains)
-        ]
         result = run(
             Scenario(
                 seed=seed,
                 sites=sites,
                 browsers=[{"id": "crawler"}],
-                steps=steps,
+                steps=_crawl(0, domains, browser="crawler"),
                 consent_mode=mode,
             )
         )

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 from .errors import MissingMetric
@@ -79,21 +79,8 @@ class MetricsReport:
     comparisons: list[tuple[str, bool, float]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "classes": dict(sorted(self.classes.items())),
-            "site_flags": {k: dict(sorted(v.items())) for k, v in sorted(self.site_flags.items())},
-            "distributions": {
-                name: [[x, c] for x, c in points]
-                for name, points in sorted(self.distributions.items())
-            },
-            "comparisons": [[n, ok, d] for n, ok, d in self.comparisons],
-            "notes": list(self.notes),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def distribution_csv(self, name: str) -> str:
         out = io.StringIO()

@@ -24,18 +24,20 @@ from .social import PlatformFeed
 from .tracker import IdentityGraph
 from .world import DAY_MS, ConsentMode, SiteConfig, World
 
-ACTIONS = {
-    "Visit",
-    "Reload",
-    "PlatformLoad",
-    "PlatformClick",
-    "CreateAccount",
-    "Login",
-    "DeleteCookie",
-    "AdvanceDays",
-    "InjectFbclid",
-    "RotateExternalId",
+# action -> (required parameter names, optional parameter names)
+ACTIONS: dict[str, tuple[set[str], set[str]]] = {
+    "Visit": ({"browser", "site"}, {"url_extras", "event"}),
+    "Reload": ({"browser", "site"}, {"event"}),
+    "PlatformLoad": ({"account"}, set()),
+    "PlatformClick": ({"account", "site"}, {"browser", "element_class", "event"}),
+    "CreateAccount": ({"browser", "account"}, set()),
+    "Login": ({"browser", "account"}, set()),
+    "DeleteCookie": ({"browser", "site", "name"}, set()),
+    "AdvanceDays": ({"days"}, set()),
+    "InjectFbclid": ({"browser", "site", "value"}, {"event"}),
+    "RotateExternalId": ({"browser", "site"}, set()),
 }
+_EVENT_NAMES = tuple(e.value for e in EventName)  # a tuple: a bad value may be unhashable
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,23 @@ class Scenario:
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
     def validate(self) -> None:
+        """Check every step's action, parameters and tick before any runs."""
         last_tick = None
         for i, step in enumerate(self.steps):
             if step.action not in ACTIONS:
                 raise ValidationError(f"unknown action {step.action!r}", i)
+            required, optional = ACTIONS[step.action]
+            missing = sorted(required - step.params.keys())
+            if missing:
+                raise ValidationError(f"{step.action} needs parameter {missing[0]!r}", i)
+            unknown = sorted(step.params.keys() - required - optional)
+            if unknown:
+                raise ValidationError(f"unknown {step.action} parameter {unknown[0]!r}", i)
+            if step.params.get("event", "PageView") not in _EVENT_NAMES:
+                raise ValidationError(f"unknown event {step.params['event']!r}", i)
+            days = step.params.get("days", 0)
+            if type(days) is not int or days < 0:
+                raise ValidationError(f"days must be a non-negative int, not {days!r}", i)
             if last_tick is not None and step.tick <= last_tick:
                 raise ValidationError("step ticks must be strictly increasing", i)
             last_tick = step.tick
@@ -192,7 +207,7 @@ def _execute(
         return []
 
     if action == "AdvanceDays":
-        world.clock.advance(int(p["days"]) * DAY_MS)
+        world.clock.advance(p["days"] * DAY_MS)
         return []
 
     if action == "InjectFbclid":

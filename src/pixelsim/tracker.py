@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 
-from .cookies import EventReport, TrackedUrl, encode_report, parse_fbc, parse_fbp
+from .cookies import EventReport, TrackedUrl, parse_fbc, parse_fbp
 from .errors import MalformedCookie, MalformedReport, UnknownAccount
 from .social import PlatformFeed
 
@@ -65,7 +65,7 @@ class IdentityGraph:
         self.known_accounts: set[str] = set()
         self.anomalies: list[Anomaly] = []
         self.orphans: list[EventReport] = []
-        self._seen_reports: set[str] = set()
+        self._seen_reports: set[EventReport] = set()
 
     # -- profile plumbing --------------------------------------------------
 
@@ -127,17 +127,16 @@ class IdentityGraph:
         site = TrackedUrl.parse(report.page_url).origin
         outcome = IngestOutcome(site=site)
 
-        wire = encode_report(report) if report.has_identifier() else None
-        if wire is None:
+        if not report.has_identifier():
             self.orphans.append(report)
             outcome.orphan = True
             return outcome
-        if wire in self._seen_reports:
+        if report in self._seen_reports:
             outcome.duplicate = True
             return outcome
         key = (site, report.fbp) if report.fbp is not None else None
         fbclid_value = self._checked_fbclid(report, key)
-        self._seen_reports.add(wire)
+        self._seen_reports.add(report)
 
         pid: int | None = None
         if key is not None:

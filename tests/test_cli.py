@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from pixelsim.cli import main
@@ -54,6 +55,16 @@ class TestRun:
         assert (out / "world.json").exists()
         assert (out / "graph.json").exists()
 
+    def test_invalid_step_is_an_error_line(self, tmp_path):
+        data = scenario_to_dict(random_scenario(5))
+        data["steps"].insert(1, {"tick": data["steps"][0]["tick"], "action": "Teleport"})
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data), encoding="utf-8")
+        result = invoke("run", str(scenario_path), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert "error: step 1: " in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_world(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(
@@ -79,6 +90,28 @@ class TestExperiment:
         report = json.loads(result.output)
         assert report["counters"]["stored_AcceptAll"] == 10
         assert report["counters"]["stored_RejectAll"] == 5
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["profiling", "--fractions", "0.5,0.5"],
+            ["expiration", "--fractions", "0.5,0.1,0.1,0.1,0.1,0.05,0.05"],
+            ["external-id", "--fractions", "0.1,0.2,0.3,0.4"],
+            ["consent", "--fractions", "0.5,0.1,0.1"],
+            ["propagation", "--fractions", "0.5"],
+            ["four-day", "--fractions", "1"],
+            ["consent", "--fractions", "abc"],
+            ["profiling", "--fractions", "0.5,0.2,0.2,0.2"],
+            ["external-id", "--fractions", "1.5"],
+            ["expiration", "--gap-days", "0"],
+            ["profiling", "--sites", "-3"],
+        ],
+    )
+    def test_bad_option_is_a_usage_error(self, args):
+        # --sites 10 keeps a case small should its check fail; a later --sites wins.
+        result = invoke("experiment", "--sites", "10", *args)
+        assert result.exit_code == 2, result.output
+        assert args[1] in result.output
 
     def test_propagation_writes_distribution_csv(self, tmp_path):
         out = tmp_path / "prop"

@@ -248,6 +248,8 @@ class TestReportCodec:
             "https://tracker.example/tr?ev=PageView&ts=1",
             "https://tracker.example/tr?id=px&ts=1",
             "https://tracker.example/tr?id=px&ev=PageView",
+            "https://tracker.example/tr?id=px&ev=PageView&fbclid=Click.Id&ts=1",
+            "https://tracker.example/tr?id=px&ev=PageView&dl=https%3A%2F%2Fshop.example%2F&ts=1",
         ],
     )
     def test_decode_rejects_missing_fields(self, wire):

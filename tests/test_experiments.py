@@ -66,6 +66,12 @@ class TestProfiling:
         report, _ = experiment_profiling(10, class_counts=[7, 1, 1, 1], seed=1)
         assert report.classes["Both"] == 7
 
+    def test_wrong_number_of_classes_rejected(self):
+        with pytest.raises(ValueError):
+            experiment_profiling(10, [0.5, 0.5], seed=1)
+        with pytest.raises(ValueError):
+            experiment_expiration(10, policy_counts=[5, 5], seed=1)
+
 
 class TestExpiration:
     def test_observed_policies_match_configuration(self):
@@ -143,7 +149,11 @@ class TestPropagation:
 
     def test_fanout_spec_length_checked(self):
         with pytest.raises(ValueError):
-            experiment_propagation(5, [1, 2], seed=0)
+            experiment_propagation(5, {"counts": [1, 2]}, seed=0)
+
+    def test_fanout_spec_takes_only_counts_and_second_hop(self):
+        with pytest.raises(ValueError):
+            experiment_propagation(5, {"median": 3}, seed=0)
 
 
 class TestConsent:

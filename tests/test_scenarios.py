@@ -50,6 +50,30 @@ class TestValidation:
             scenario.validate()
         assert excinfo.value.step_index == 1
 
+    @pytest.mark.parametrize(
+        "action, params",
+        [
+            ("Visit", {"site": "shop.example"}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "event": "Nope"}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "evnt": "Purchase"}),
+            ("AdvanceDays", {"days": -1}),
+            ("AdvanceDays", {"days": "2"}),
+            ("PlatformLoad", {}),
+        ],
+    )
+    def test_bad_step_rejected_before_any_step_runs(self, action, params):
+        scenario = simple_scenario(
+            steps=[
+                Step(1, "Visit", {"browser": "b1", "site": "shop.example"}),
+                Step(2, action, params),
+            ]
+        )
+        ran = []
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario, observe=lambda step, world: ran.append(step))
+        assert excinfo.value.step_index == 1
+        assert ran == []
+
     def test_runtime_errors_carry_step_index(self):
         scenario = simple_scenario(
             steps=[Step(1, "Visit", {"browser": "ghost", "site": "shop.example"})]

@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pixelsim.cookies import EventName, EventReport, Fbclid, TrackedUrl
+from pixelsim.cookies import (
+    EventName,
+    EventReport,
+    Fbclid,
+    TrackedUrl,
+    decode_report,
+    encode_report,
+)
 from pixelsim.errors import MalformedReport, UnknownAccount
 from pixelsim.social import PlatformFeed
 from pixelsim.tracker import Activity, IdentityGraph
@@ -50,11 +57,13 @@ class TestProfiles:
         assert len(graph.profiles()) == 2
 
     def test_duplicate_wire_report_ignored(self):
-        graph = IdentityGraph()
-        first = graph.ingest(make_report(1))
-        second = graph.ingest(make_report(1))
-        assert not first.duplicate and second.duplicate
-        assert len(graph.profile((SITE, "fb.1.0.42")).activity) == 1
+        # The resent report is the same value, or a copy decoded off the wire.
+        for resent in (make_report(1), decode_report(encode_report(make_report(1)))):
+            graph = IdentityGraph()
+            first = graph.ingest(make_report(1))
+            second = graph.ingest(resent)
+            assert not first.duplicate and second.duplicate
+            assert len(graph.profile((SITE, "fb.1.0.42")).activity) == 1
 
     def test_identifier_free_report_is_orphaned(self):
         graph = IdentityGraph()
