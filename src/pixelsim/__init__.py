@@ -17,7 +17,7 @@ from .cookies import (
     strip_tracking_params,
     subdomain_index,
 )
-from .pixel import EmissionRecord, PageVisit, VisitKind, on_page_event
+from .pixel import EmissionRecord, on_page_event
 from .reporting import (
     Distribution,
     ExpectedTable,

@@ -1,15 +1,14 @@
 """Client-side pixel behavior: cookie creation, rolling expiration, reporting.
 
-``on_page_event`` is the single entry point: given a page visit and the
-event it fired, it mutates the browser's cookie jar according to the
-site's configuration and returns the emission records (hop 0 to the
-tracker, hops 1 and 2 to configured third parties).
+``on_page_event`` is the single entry point: given a browser's visit to a
+URL and the event it fired, it mutates the browser's cookie jar according
+to the site's configuration and returns the emission records (hop 0 to
+the tracker, hops 1 and 2 to configured third parties).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .cookies import (
     EventName,
@@ -28,6 +27,7 @@ from .world import (
     COOKIE_LIFETIME_MS,
     TRACKER_DOMAIN,
     ConsentMode,
+    CookieJar,
     ExpirationPolicy,
     ReportingClass,
     SiteConfig,
@@ -38,38 +38,12 @@ FBP_NAME = "_fbp"
 FBC_NAME = "_fbc"
 
 
-class VisitKind(Enum):
-    VISIT = "Visit"
-    RELOAD = "Reload"
-    VISIT_WITH_FBCLID = "VisitWithFbclid"
-
-
-@dataclass(frozen=True)
-class PageVisit:
-    browser_id: str
-    site: str
-    url: TrackedUrl
-    kind: VisitKind
-    tick: int
-
-
 @dataclass(frozen=True)
 class EmissionRecord:
     report: EventReport
     hop: int  # 0 tracker, 1 first-hop third party, 2 second-hop
     site: str  # the visited site, as configured
     browser_id: str  # the browser that made the visit
-
-
-def classify_visit(browser_id: str, site: str, url: TrackedUrl, tick: int,
-                   reload: bool = False) -> PageVisit:
-    if extract_fbclid(url) is not None:
-        kind = VisitKind.VISIT_WITH_FBCLID
-    elif reload:
-        kind = VisitKind.RELOAD
-    else:
-        kind = VisitKind.VISIT
-    return PageVisit(browser_id=browser_id, site=site, url=url, kind=kind, tick=tick)
 
 
 def _consent_blocks(world: World, site: SiteConfig) -> bool:
@@ -91,23 +65,22 @@ def external_id_for(world: World, site: SiteConfig, browser_id: str) -> str | No
     return world.external_ids.get(site, browser_id)
 
 
-def apply_expiration_policy(world: World, site: SiteConfig, visit: PageVisit) -> None:
-    """Renew (or rotate) the browser-ID cookie according to site policy."""
-    jar = world.browser(visit.browser_id).jar(site.domain)
-    entry = jar.read_entry(FBP_NAME, world.clock.now)
-    if entry is None:
+def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar,
+                            clicked: bool, reload: bool) -> None:
+    """Renew (or rotate) the browser-ID cookie according to site policy.
+
+    A visit whose URL carries a click ID counts as a click visit, even when
+    it is also a reload.
+    """
+    policy = site.expiration_policy
+    if (policy is ExpirationPolicy.NEVER
+            or (policy is ExpirationPolicy.ONLY_FBCLID and not clicked)
+            or (policy is ExpirationPolicy.ONLY_RELOAD and (clicked or not reload))):
         return
     now = world.clock.now
-    policy = site.expiration_policy
-    if policy is ExpirationPolicy.NEVER:
-        return
-    if policy is ExpirationPolicy.ONLY_FBCLID and visit.kind is not VisitKind.VISIT_WITH_FBCLID:
-        return
-    if policy is ExpirationPolicy.ONLY_RELOAD and visit.kind is not VisitKind.RELOAD:
-        return
     if policy is ExpirationPolicy.ROTATE_VALUE:
         cookie = FbpCookie(
-            subdomain_index=parse_fbp(entry.value).subdomain_index,
+            subdomain_index=parse_fbp(jar.read(FBP_NAME, now)).subdomain_index,
             creation_time=now,
             random_number=world.next_random_number(),
         )
@@ -116,16 +89,16 @@ def apply_expiration_policy(world: World, site: SiteConfig, visit: PageVisit) ->
     jar.touch(FBP_NAME, now + COOKIE_LIFETIME_MS)
 
 
-def on_page_event(world: World, visit: PageVisit, event: EventName) -> list[EmissionRecord]:
-    site = world.site(visit.site)
+def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventName,
+                  reload: bool = False) -> list[EmissionRecord]:
+    site = world.site(url.origin)
     if not site.has_pixel or site.expiration_policy is ExpirationPolicy.BLOCKED:
         return []
     if _consent_blocks(world, site):
         return []
 
     now = world.clock.now
-    browser = world.browser(visit.browser_id)
-    jar = browser.jar(site.domain)
+    jar = world.browser(browser_id).jar(site.domain)
     idx = subdomain_index(site.domain, site.registrable_suffix)
 
     if jar.read(FBP_NAME, now) is None:
@@ -138,16 +111,17 @@ def on_page_event(world: World, visit: PageVisit, event: EventName) -> list[Emis
     # A stripping site removes the parameter before the pixel ever sees it,
     # so no _fbc is written, nothing falls back to a bare parameter, and
     # third parties are not handed the ID either.
-    fbclid = None if site.strips_fbclid else extract_fbclid(visit.url)
+    url_fbclid = extract_fbclid(url)
+    fbclid = None if site.strips_fbclid else url_fbclid
     if fbclid is not None:
         fbc = FbcCookie(subdomain_index=idx, creation_time=now, fbclid=fbclid)
         jar.write(FBC_NAME, serialize_fbc(fbc), now, now + COOKIE_LIFETIME_MS)
 
-    apply_expiration_policy(world, site, visit)
+    apply_expiration_policy(world, site, jar, url_fbclid is not None, reload)
 
     fbp_value = jar.read(FBP_NAME, now)
     fbc_value = jar.read(FBC_NAME, now)
-    page_url = visit.url.serialize()
+    page_url = url.serialize()
     emissions: list[EmissionRecord] = []
 
     if event in site.tracked_events and _reporting_permits(site, fbclid):
@@ -164,19 +138,19 @@ def on_page_event(world: World, visit: PageVisit, event: EventName) -> list[Emis
             fbp=fbp_value,
             fbc=fbc_value if include_fbc else None,
             fbclid_param=bare,
-            external_id=external_id_for(world, site, visit.browser_id),
+            external_id=external_id_for(world, site, browser_id),
         )
-        emissions.append(EmissionRecord(report, 0, visit.site, visit.browser_id))
+        emissions.append(EmissionRecord(report, 0, url.origin, browser_id))
 
     for third_party in site.first_hop_third_parties:
         emissions.append(EmissionRecord(
             _forwarded(site, event, page_url, now, third_party, fbp_value, fbclid),
-            1, visit.site, visit.browser_id,
+            1, url.origin, browser_id,
         ))
         for forwardee in site.second_hop_forwarding.get(third_party, ()):
             emissions.append(EmissionRecord(
                 _forwarded(site, event, page_url, now, forwardee, fbp_value, fbclid),
-                2, visit.site, visit.browser_id,
+                2, url.origin, browser_id,
             ))
     return emissions
 

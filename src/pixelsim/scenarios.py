@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cookies import EventName, TrackedUrl
 from .errors import SimulatorError, ValidationError
-from .pixel import EmissionRecord, classify_visit, on_page_event
+from .pixel import EmissionRecord, on_page_event
 from .reporting import MetricsReport
 from .social import PlatformFeed
 from .tracker import IdentityGraph
@@ -153,9 +153,9 @@ def _site_url(site: str, extras: list[tuple[str, str]] | None = None) -> Tracked
 def _page_event(
     world: World, step: Step, browser_id: str, url: TrackedUrl, reload: bool = False
 ) -> list[EmissionRecord]:
-    """A page visit to ``url``: the one place a visit's kind is decided."""
-    visit = classify_visit(browser_id, url.origin, url, step.tick, reload=reload)
-    return on_page_event(world, visit, EventName(step.params.get("event", "PageView")))
+    """A page visit to ``url`` firing the step's event."""
+    event = EventName(step.params.get("event", "PageView"))
+    return on_page_event(world, browser_id, url, event, reload)
 
 
 def _execute(

@@ -30,7 +30,7 @@ class Activity:
         return (self.timestamp, self.site, self.event, self.page_url)
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity
 class PseudonymProfile:
     keys: set[ProfileKey] = field(default_factory=set)
     activity: list[Activity] = field(default_factory=list)
@@ -59,9 +59,8 @@ class IdentityGraph:
 
     def __init__(self, click_ledger: PlatformFeed | None = None):
         self.click_ledger = click_ledger
-        self._profiles: list[PseudonymProfile | None] = []
-        self._key_to_pid: dict[ProfileKey, int] = {}
-        self._external_index: dict[tuple[str, str], int] = {}
+        self._by_key: dict[ProfileKey, PseudonymProfile] = {}
+        self._external_index: dict[tuple[str, str], PseudonymProfile] = {}
         self.known_accounts: set[str] = set()
         self.anomalies: list[Anomaly] = []
         self.orphans: list[EventReport] = []
@@ -69,34 +68,21 @@ class IdentityGraph:
 
     # -- profile plumbing --------------------------------------------------
 
-    def _new_profile(self, key: ProfileKey) -> int:
-        pid = len(self._profiles)
-        self._profiles.append(PseudonymProfile(keys={key}))
-        self._key_to_pid[key] = pid
-        return pid
-
-    def _pid_for_key(self, key: ProfileKey) -> int:
-        pid = self._key_to_pid.get(key)
-        if pid is None:
-            pid = self._new_profile(key)
-        return pid
-
     def profile(self, key: ProfileKey) -> PseudonymProfile | None:
-        pid = self._key_to_pid.get(key)
-        return self._profiles[pid] if pid is not None else None
+        return self._by_key.get(key)
 
     def profiles(self) -> list[PseudonymProfile]:
-        return [p for p in self._profiles if p is not None]
+        """Each live profile once, in the order its first key arrived."""
+        return list(dict.fromkeys(self._by_key.values()))
 
-    def _merge(self, site: str, keep: int, absorb: int) -> bool:
-        """Fold profile ``absorb`` into ``keep``; refuse on conflicting links.
+    def _merge(self, site: str, a: PseudonymProfile, b: PseudonymProfile) -> bool:
+        """Fold profile ``b`` into ``a``; refuse on conflicting links.
 
         Both profiles belong to ``site``: a merge joins them through an
         external ID, which is bound per site.
         """
-        if keep == absorb:
+        if a is b:
             return False
-        a, b = self._profiles[keep], self._profiles[absorb]
         if a.linked_account and b.linked_account and a.linked_account != b.linked_account:
             self.anomalies.append(
                 Anomaly(
@@ -112,13 +98,12 @@ class IdentityGraph:
         if a.linked_account is None:
             a.linked_account = b.linked_account
         for key in b.keys:
-            self._key_to_pid[key] = keep
-        # Only ``absorb``'s own external IDs can be bound to it.
+            self._by_key[key] = a
+        # Only ``b``'s own external IDs can be bound to it.
         for external_id in b.external_ids:
             ext_key = (site, external_id)
-            if self._external_index.get(ext_key) == absorb:
-                self._external_index[ext_key] = keep
-        self._profiles[absorb] = None
+            if self._external_index.get(ext_key) is b:
+                self._external_index[ext_key] = a
         return True
 
     # -- ingestion ---------------------------------------------------------
@@ -138,11 +123,13 @@ class IdentityGraph:
         fbclid_value = self._checked_fbclid(report, key)
         self._seen_reports.add(report)
 
-        pid: int | None = None
+        profile: PseudonymProfile | None = None
         if key is not None:
-            pid = self._pid_for_key(key)
+            profile = self._by_key.get(key)
+            if profile is None:
+                profile = self._by_key[key] = PseudonymProfile(keys={key})
             insort(
-                self._profiles[pid].activity,
+                profile.activity,
                 Activity(
                     timestamp=report.timestamp,
                     event=report.event.value,
@@ -154,17 +141,16 @@ class IdentityGraph:
             outcome.profile_key = key
 
         if report.external_id is not None:
-            pid, merged = self._bind_external_id(site, report.external_id, pid)
-            outcome.merged = merged
+            profile, outcome.merged = self._bind_external_id(site, report.external_id, profile)
 
-        if fbclid_value is not None and pid is not None:
+        if fbclid_value is not None and profile is not None:
             account = self._account_for_fbclid(fbclid_value, site)
             if account is not None:
-                self._link(pid, account)
+                self._link(profile, account)
 
-        if pid is not None:
-            outcome.linked_account = self._profiles[pid].linked_account
-            outcome.profile_key = min(self._profiles[pid].keys)
+        if profile is not None:
+            outcome.linked_account = profile.linked_account
+            outcome.profile_key = min(profile.keys)
         return outcome
 
     def _checked_fbclid(self, report: EventReport, key: ProfileKey | None) -> str | None:
@@ -175,7 +161,7 @@ class IdentityGraph:
         key was checked when it first arrived.
         """
         try:
-            if key is not None and key not in self._key_to_pid:
+            if key is not None and key not in self._by_key:
                 parse_fbp(key[1])
             if report.fbc is not None:
                 return parse_fbc(report.fbc).fbclid.value
@@ -185,23 +171,23 @@ class IdentityGraph:
             return report.fbclid_param.value
         return None
 
-    def _bind_external_id(self, site: str, external_id: str, pid: int | None) -> tuple[int | None, bool]:
+    def _bind_external_id(
+        self, site: str, external_id: str, profile: PseudonymProfile | None
+    ) -> tuple[PseudonymProfile | None, bool]:
         ext_key = (site, external_id)
         existing = self._external_index.get(ext_key)
-        merged = False
-        if pid is None:
+        if profile is None:
             # No cookie in the report: the external ID alone identifies the
             # profile, if one is already bound on this site.
-            pid = existing
-            if pid is None:
+            profile = existing
+            if profile is None:
                 return None, False
-        if existing is not None and existing != pid:
-            if self._merge(site, existing, pid):
-                pid = existing
-                merged = True
-        self._external_index[ext_key] = pid
-        self._profiles[pid].external_ids.add(external_id)
-        return pid, merged
+        merged = existing is not None and self._merge(site, existing, profile)
+        if merged:
+            profile = existing
+        self._external_index[ext_key] = profile
+        profile.external_ids.add(external_id)
+        return profile, merged
 
     def _account_for_fbclid(self, fbclid_value: str, site: str) -> str | None:
         if self.click_ledger is None:
@@ -215,8 +201,7 @@ class IdentityGraph:
         candidates = matching or entries
         return candidates[-1].account_id
 
-    def _link(self, pid: int, account: str) -> None:
-        profile = self._profiles[pid]
+    def _link(self, profile: PseudonymProfile, account: str) -> None:
         if profile.linked_account is None:
             profile.linked_account = account
         elif profile.linked_account != account:
@@ -231,12 +216,10 @@ class IdentityGraph:
 
     def resolve(self) -> list[tuple[ProfileKey, str]]:
         """Every (profile key, account) pair currently linked."""
-        pairs = []
-        for key, pid in self._key_to_pid.items():
-            account = self._profiles[pid].linked_account
-            if account is not None:
-                pairs.append((key, account))
-        return sorted(pairs)
+        return sorted(
+            (key, p.linked_account) for key, p in self._by_key.items()
+            if p.linked_account is not None
+        )
 
     def account_history(self, account_id: str) -> list[Activity]:
         if account_id not in self.known_accounts:

@@ -3,14 +3,7 @@
 import pytest
 
 from pixelsim.cookies import EventName, TrackedUrl, parse_fbc, parse_fbp
-from pixelsim.pixel import (
-    FBC_NAME,
-    FBP_NAME,
-    PageVisit,
-    VisitKind,
-    classify_visit,
-    on_page_event,
-)
+from pixelsim.pixel import FBC_NAME, FBP_NAME, EmissionRecord, on_page_event
 from pixelsim.world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
@@ -33,34 +26,63 @@ def make_world(**site_kwargs) -> World:
     return world
 
 
-def visit(world: World, url: str | None = None, reload: bool = False) -> PageVisit:
+def visit(
+    world: World, url: str | None = None, reload: bool = False,
+    event: EventName = EventName.PAGE_VIEW,
+) -> list[EmissionRecord]:
+    """Browser b1 loads ``url`` (the site's front page by default)."""
     tracked = TrackedUrl.parse(url or f"https://{SITE}/")
-    return classify_visit("b1", SITE, tracked, world.clock.now, reload=reload)
+    return on_page_event(world, "b1", tracked, event, reload)
 
 
 def jar(world: World):
     return world.browser("b1").jar(SITE)
 
 
-class TestClassifyVisit:
-    def test_kinds(self):
-        world = make_world()
-        assert visit(world).kind is VisitKind.VISIT
-        assert visit(world, reload=True).kind is VisitKind.RELOAD
-        clicked = visit(world, f"https://{SITE}/?fbclid=XYZ")
-        assert clicked.kind is VisitKind.VISIT_WITH_FBCLID
+def expiry_after_revisit(policy, url=None, reload=False, **site_kwargs) -> int:
+    """The _fbp expiry after a first visit and, a day later, a visit to ``url``."""
+    world = make_world(expiration_policy=policy, **site_kwargs)
+    visit(world)
+    world.clock.advance(DAY_MS)
+    visit(world, url, reload=reload)
+    return jar(world).entries[FBP_NAME].expires
+
+
+CLICK_URL = f"https://{SITE}/?fbclid=XYZ"
+
+
+class TestVisitKinds:
+    """A revisit a day later renews _fbp only where its policy says so."""
+
+    RENEWS = {
+        ExpirationPolicy.EVERY_EVENT: {"visit", "reload", "click"},
+        ExpirationPolicy.NEVER: set(),
+        ExpirationPolicy.ONLY_FBCLID: {"click"},
+        ExpirationPolicy.ONLY_RELOAD: {"reload"},
+        ExpirationPolicy.ROTATE_VALUE: {"visit", "reload", "click"},
+    }
+    KINDS = {"visit": (None, False), "reload": (None, True), "click": (CLICK_URL, False)}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("policy", list(RENEWS), ids=lambda p: p.value)
+    def test_each_kind_gets_its_policy_expiry(self, policy, kind):
+        expires = expiry_after_revisit(policy, *self.KINDS[kind])
+        renewed = kind in self.RENEWS[policy]
+        assert expires == (91 * DAY_MS if renewed else COOKIE_LIFETIME_MS)
 
     def test_click_id_wins_over_reload_flag(self):
-        world = make_world()
-        v = visit(world, f"https://{SITE}/?fbclid=XYZ", reload=True)
-        assert v.kind is VisitKind.VISIT_WITH_FBCLID
+        """A reload whose URL carries fbclid is a click visit, not a reload."""
+        only_fbclid = expiry_after_revisit(ExpirationPolicy.ONLY_FBCLID, CLICK_URL, True)
+        only_reload = expiry_after_revisit(ExpirationPolicy.ONLY_RELOAD, CLICK_URL, True)
+        assert only_fbclid == 91 * DAY_MS
+        assert only_reload == COOKIE_LIFETIME_MS
 
 
 class TestCookieCreation:
     def test_first_visit_writes_fbp(self):
         world = make_world()
         world.clock.advance(1234)
-        emissions = on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        emissions = visit(world)
         entry = jar(world).read_entry(FBP_NAME, world.clock.now)
         cookie = parse_fbp(entry.value)
         assert cookie.subdomain_index == 2  # www.shoes.com relative to com
@@ -74,17 +96,15 @@ class TestCookieCreation:
 
     def test_fbp_stable_across_visits(self):
         world = make_world()
-        first = on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        first = visit(world)
         world.clock.advance(DAY_MS)
-        second = on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        second = visit(world)
         assert first[0].report.fbp == second[0].report.fbp
 
     def test_click_id_visit_writes_fbc(self):
         world = make_world()
         world.clock.advance(77)
-        emissions = on_page_event(
-            world, visit(world, f"https://{SITE}/?fbclid=SomeClickId"), EventName.PAGE_VIEW
-        )
+        emissions = visit(world, f"https://{SITE}/?fbclid=SomeClickId")
         raw = jar(world).read(FBC_NAME, world.clock.now)
         cookie = parse_fbc(raw)
         assert cookie.fbclid.value == "SomeClickId"
@@ -95,45 +115,39 @@ class TestCookieCreation:
 
     def test_fbc_refreshed_on_each_click_id(self):
         world = make_world()
-        on_page_event(world, visit(world, f"https://{SITE}/?fbclid=First"), EventName.PAGE_VIEW)
+        visit(world, f"https://{SITE}/?fbclid=First")
         world.clock.advance(10)
-        on_page_event(world, visit(world, f"https://{SITE}/?fbclid=Second"), EventName.PAGE_VIEW)
+        visit(world, f"https://{SITE}/?fbclid=Second")
         cookie = parse_fbc(jar(world).read(FBC_NAME, world.clock.now))
         assert cookie.fbclid.value == "Second"
         assert cookie.creation_time == 10
 
     def test_no_pixel_does_nothing(self):
         world = make_world(has_pixel=False)
-        assert on_page_event(world, visit(world), EventName.PAGE_VIEW) == []
+        assert visit(world) == []
         assert jar(world).read(FBP_NAME, 0) is None
 
 
 class TestReportingClasses:
     def test_silent_never_reports(self):
         world = make_world(reporting_class=ReportingClass.SILENT)
-        assert on_page_event(world, visit(world), EventName.PAGE_VIEW) == []
-        emissions = on_page_event(
-            world, visit(world, f"https://{SITE}/?fbclid=X"), EventName.PAGE_VIEW
-        )
+        assert visit(world) == []
+        emissions = visit(world, f"https://{SITE}/?fbclid=X")
         assert emissions == []
         # The pixel still runs: cookies exist even though nothing is sent.
         assert jar(world).read(FBP_NAME, 0) is not None
 
     def test_fbp_only_with_fbclid_reports_only_on_click(self):
         world = make_world(reporting_class=ReportingClass.FBP_ONLY_WITH_FBCLID)
-        assert on_page_event(world, visit(world), EventName.PAGE_VIEW) == []
+        assert visit(world) == []
         world.clock.advance(1)
-        emissions = on_page_event(
-            world, visit(world, f"https://{SITE}/?fbclid=X"), EventName.PAGE_VIEW
-        )
+        emissions = visit(world, f"https://{SITE}/?fbclid=X")
         assert len(emissions) == 1
         assert emissions[0].report.fbc is not None
 
     def test_fbp_only_drops_click_id_material(self):
         world = make_world(reporting_class=ReportingClass.FBP_ONLY)
-        emissions = on_page_event(
-            world, visit(world, f"https://{SITE}/?fbclid=X"), EventName.PAGE_VIEW
-        )
+        emissions = visit(world, f"https://{SITE}/?fbclid=X")
         report = emissions[0].report
         assert report.fbp is not None
         assert report.fbc is None
@@ -141,8 +155,8 @@ class TestReportingClasses:
 
     def test_untracked_event_sends_no_report(self):
         world = make_world(tracked_events=frozenset({EventName.PURCHASE}))
-        assert on_page_event(world, visit(world), EventName.PAGE_VIEW) == []
-        emissions = on_page_event(world, visit(world), EventName.PURCHASE)
+        assert visit(world) == []
+        emissions = visit(world, event=EventName.PURCHASE)
         assert len(emissions) == 1
         assert emissions[0].report.event is EventName.PURCHASE
 
@@ -153,9 +167,7 @@ class TestStripping:
             strips_fbclid=True,
             first_hop_third_parties=("ads.partner.example",),
         )
-        emissions = on_page_event(
-            world, visit(world, f"https://{SITE}/?fbclid=X"), EventName.PAGE_VIEW
-        )
+        emissions = visit(world, f"https://{SITE}/?fbclid=X")
         assert jar(world).read(FBC_NAME, 0) is None
         by_hop = {e.hop: e.report for e in emissions}
         assert by_hop[0].fbc is None and by_hop[0].fbclid_param is None
@@ -169,12 +181,12 @@ class TestConsent:
     def test_compliant_site_blocked_without_acceptance(self, mode):
         world = make_world(consent_compliant=True)
         world.consent_mode = mode
-        assert on_page_event(world, visit(world), EventName.PAGE_VIEW) == []
+        assert visit(world) == []
         assert jar(world).read(FBP_NAME, 0) is None
 
     def test_compliant_site_active_under_acceptance(self):
         world = make_world(consent_compliant=True)
-        assert len(on_page_event(world, visit(world), EventName.PAGE_VIEW)) == 1
+        assert len(visit(world)) == 1
 
     @pytest.mark.parametrize(
         "mode", [ConsentMode.ACCEPT_ALL, ConsentMode.REJECT_ALL, ConsentMode.NO_ACTION]
@@ -182,7 +194,7 @@ class TestConsent:
     def test_noncompliant_site_ignores_consent(self, mode):
         world = make_world(consent_compliant=False)
         world.consent_mode = mode
-        assert len(on_page_event(world, visit(world), EventName.PAGE_VIEW)) == 1
+        assert len(visit(world)) == 1
 
     def test_interaction_gated_site_dead_only_under_no_action(self):
         for mode, expect in [
@@ -192,7 +204,7 @@ class TestConsent:
         ]:
             world = make_world(consent_requires_interaction=True)
             world.consent_mode = mode
-            assert len(on_page_event(world, visit(world), EventName.PAGE_VIEW)) == expect
+            assert len(visit(world)) == expect
 
 
 class TestExpirationPolicies:
@@ -203,52 +215,52 @@ class TestExpirationPolicies:
         """Revisit on day j: expiry becomes creation tick + (90 + j - i) days."""
         for gap in (1, 6, 7, 30):
             world = make_world(expiration_policy=ExpirationPolicy.EVERY_EVENT)
-            on_page_event(world, visit(world), EventName.PAGE_VIEW)
+            visit(world)
             assert self._expiry(world) == COOKIE_LIFETIME_MS
             world.clock.advance(gap * DAY_MS)
-            on_page_event(world, visit(world), EventName.PAGE_VIEW)
+            visit(world)
             assert self._expiry(world) == (90 + gap) * DAY_MS
 
     def test_never_keeps_original_expiry(self):
         world = make_world(expiration_policy=ExpirationPolicy.NEVER)
-        on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        visit(world)
         world.clock.advance(5 * DAY_MS)
-        on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        visit(world)
         assert self._expiry(world) == COOKIE_LIFETIME_MS
 
     def test_expired_fbp_is_recreated(self):
         world = make_world(expiration_policy=ExpirationPolicy.NEVER)
-        first = on_page_event(world, visit(world), EventName.PAGE_VIEW)[0].report.fbp
+        first = visit(world)[0].report.fbp
         world.clock.advance(COOKIE_LIFETIME_MS)  # exactly at expiry: gone
-        second = on_page_event(world, visit(world), EventName.PAGE_VIEW)[0].report.fbp
+        second = visit(world)[0].report.fbp
         assert first != second
         assert parse_fbp(second).creation_time == COOKIE_LIFETIME_MS
 
     def test_only_fbclid_updates_on_click_visits_alone(self):
         world = make_world(expiration_policy=ExpirationPolicy.ONLY_FBCLID)
-        on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        visit(world)
         world.clock.advance(DAY_MS)
-        on_page_event(world, visit(world), EventName.PAGE_VIEW)
-        on_page_event(world, visit(world, reload=True), EventName.PAGE_VIEW)
+        visit(world)
+        visit(world, reload=True)
         assert self._expiry(world) == COOKIE_LIFETIME_MS
-        on_page_event(world, visit(world, f"https://{SITE}/?fbclid=X"), EventName.PAGE_VIEW)
+        visit(world, f"https://{SITE}/?fbclid=X")
         assert self._expiry(world) == 91 * DAY_MS
 
     def test_only_reload_updates_on_reloads_alone(self):
         world = make_world(expiration_policy=ExpirationPolicy.ONLY_RELOAD)
-        on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        visit(world)
         world.clock.advance(DAY_MS)
-        on_page_event(world, visit(world), EventName.PAGE_VIEW)
-        on_page_event(world, visit(world, f"https://{SITE}/?fbclid=X"), EventName.PAGE_VIEW)
+        visit(world)
+        visit(world, f"https://{SITE}/?fbclid=X")
         assert self._expiry(world) == COOKIE_LIFETIME_MS
-        on_page_event(world, visit(world, reload=True), EventName.PAGE_VIEW)
+        visit(world, reload=True)
         assert self._expiry(world) == 91 * DAY_MS
 
     def test_rotate_value_issues_fresh_cookie(self):
         world = make_world(expiration_policy=ExpirationPolicy.ROTATE_VALUE)
-        first = on_page_event(world, visit(world), EventName.PAGE_VIEW)[0].report.fbp
+        first = visit(world)[0].report.fbp
         world.clock.advance(DAY_MS)
-        second = on_page_event(world, visit(world), EventName.PAGE_VIEW)[0].report.fbp
+        second = visit(world)[0].report.fbp
         assert first != second
         assert parse_fbp(first).subdomain_index == parse_fbp(second).subdomain_index
         assert parse_fbp(second).creation_time == DAY_MS
@@ -256,14 +268,14 @@ class TestExpirationPolicies:
 
     def test_blocked_site_stores_and_sends_nothing(self):
         world = make_world(expiration_policy=ExpirationPolicy.BLOCKED)
-        assert on_page_event(world, visit(world), EventName.PAGE_VIEW) == []
+        assert visit(world) == []
         assert jar(world).entries == {}
 
     def test_creation_law_on_every_write(self):
         for policy in (ExpirationPolicy.EVERY_EVENT, ExpirationPolicy.ROTATE_VALUE):
             world = make_world(expiration_policy=policy)
             for _ in range(4):
-                on_page_event(world, visit(world), EventName.PAGE_VIEW)
+                visit(world)
                 entry = jar(world).entries[FBP_NAME]
                 if policy is ExpirationPolicy.ROTATE_VALUE:
                     assert entry.expires - entry.created == COOKIE_LIFETIME_MS
@@ -287,7 +299,7 @@ class TestPropagation:
         world = World(seed=1)
         world.spawn_browser("b1")
         world.add_site(site)
-        emissions = on_page_event(world, visit(world), EventName.PAGE_VIEW)
+        emissions = visit(world)
         hop1 = {e.report.destination for e in emissions if e.hop == 1}
         hop2 = {e.report.destination for e in emissions if e.hop == 2}
         # Raw emission includes everything configured; the exclusion rule
@@ -300,9 +312,7 @@ class TestPropagation:
 
     def test_forwarded_reports_carry_fbp_and_click_id(self):
         world = make_world(first_hop_third_parties=("ads.partner.example",))
-        emissions = on_page_event(
-            world, visit(world, f"https://{SITE}/?fbclid=Clicked"), EventName.PAGE_VIEW
-        )
+        emissions = visit(world, f"https://{SITE}/?fbclid=Clicked")
         forwarded = [e.report for e in emissions if e.hop == 1]
         assert len(forwarded) == 1
         assert forwarded[0].destination == "ads.partner.example"

@@ -7,13 +7,16 @@ from pixelsim import social
 from pixelsim.cookies import (
     CLICK_ID_ALPHABET,
     CLICK_ID_LENGTH,
+    EventName,
     TrackedUrl,
+    extract_fbclid,
+    parse_fbc,
     strip_tracking_params,
 )
-from pixelsim.pixel import VisitKind, classify_visit
+from pixelsim.pixel import FBC_NAME, on_page_event
 from pixelsim.scenarios import Scenario, Step, run
 from pixelsim.social import ARRAY_SIZE, PlatformFeed
-from pixelsim.world import SiteConfig
+from pixelsim.world import SiteConfig, World
 
 TARGETS = [
     TrackedUrl.parse(f"https://{domain}/")
@@ -223,14 +226,24 @@ class TestRecordClick:
         )
         return decorated
 
+    def _land(self, url: TrackedUrl):
+        """Browser b1 follows ``url``; returns its _fbc cookie and the records."""
+        world = World(seed=1)
+        world.spawn_browser("b1")
+        world.add_site(SiteConfig(domain="shop.example"))
+        records = on_page_event(world, "b1", url, EventName.PAGE_VIEW)
+        return world.browser("b1").jar("shop.example").read(FBC_NAME, 0), records
+
     def test_decorated_click_is_click_visit(self):
         decorated = self._click()
-        visit = classify_visit("b1", decorated.origin, decorated, tick=0)
-        assert visit.kind is VisitKind.VISIT_WITH_FBCLID
-        assert visit.site == "shop.example"
+        fbc, records = self._land(decorated)
+        assert parse_fbc(fbc).fbclid == extract_fbclid(decorated)
+        assert records[0].report.fbc == fbc
+        assert records[0].site == "shop.example"
 
     def test_stripped_click_degrades_to_plain_visit(self):
-        stripped = strip_tracking_params(self._click(), {"fbclid"})
-        visit = classify_visit("b1", stripped.origin, stripped, tick=0)
-        assert visit.kind is VisitKind.VISIT
-        assert visit.site == "shop.example"
+        fbc, records = self._land(strip_tracking_params(self._click(), {"fbclid"}))
+        assert fbc is None
+        assert records[0].report.fbc is None
+        assert records[0].report.fbclid_param is None
+        assert records[0].site == "shop.example"

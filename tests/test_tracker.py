@@ -279,11 +279,15 @@ class TestInvariants:
                 )
 
         live = graph.profiles()
+        assert len(set(live)) == len(live)  # no profile listed twice
         for profile in live:
             got = [a for key in profile.keys for a in received[key]]
             assert profile.activity == sorted(got, key=Activity.as_tuple)
-        assert all(graph._profiles[pid] is not None for pid in graph._external_index.values())
-        owners = {key: [p for p in live if key in p.keys] for key in graph._key_to_pid}
-        assert all(len(found) == 1 for found in owners.values())
-        assert all(graph.profile(key) is found[0] for key, found in owners.items())
-        assert sum(len(p.keys) for p in live) == len(graph._key_to_pid)
+        for key in received:
+            assert [p for p in live if key in p.keys] == [graph.profile(key)]
+        assert sum(len(p.keys) for p in live) == len(received)
+        dumped = graph.dump()["profiles"]
+        assert sorted(key for p in dumped for key in p["keys"]) == sorted(
+            f"{site}|{fbp}" for site, fbp in received
+        )
+        assert len(dumped) == len(live)
