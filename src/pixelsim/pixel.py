@@ -69,8 +69,8 @@ def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar,
                             clicked: bool, reload: bool) -> None:
     """Renew (or rotate) the browser-ID cookie according to site policy.
 
-    A visit whose URL carries a click ID counts as a click visit, even when
-    it is also a reload.
+    A visit whose click ID reaches the pixel counts as a click visit, even
+    when it is also a reload.
     """
     policy = site.expiration_policy
     if (policy is ExpirationPolicy.NEVER
@@ -109,15 +109,14 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
         jar.write(FBP_NAME, serialize_fbp(cookie), now, now + COOKIE_LIFETIME_MS)
 
     # A stripping site removes the parameter before the pixel ever sees it,
-    # so no _fbc is written, nothing falls back to a bare parameter, and
-    # third parties are not handed the ID either.
-    url_fbclid = extract_fbclid(url)
-    fbclid = None if site.strips_fbclid else url_fbclid
+    # so no _fbc is written, nothing falls back to a bare parameter, third
+    # parties are not handed the ID, and the expiry policy sees no click.
+    fbclid = None if site.strips_fbclid else extract_fbclid(url)
     if fbclid is not None:
         fbc = FbcCookie(subdomain_index=idx, creation_time=now, fbclid=fbclid)
         jar.write(FBC_NAME, serialize_fbc(fbc), now, now + COOKIE_LIFETIME_MS)
 
-    apply_expiration_policy(world, site, jar, url_fbclid is not None, reload)
+    apply_expiration_policy(world, site, jar, fbclid is not None, reload)
 
     fbp_value = jar.read(FBP_NAME, now)
     fbc_value = jar.read(FBC_NAME, now)

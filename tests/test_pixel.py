@@ -175,6 +175,18 @@ class TestStripping:
         # The third party is still contacted, but without the click ID.
         assert by_hop[1].fbclid_param is None
 
+    def test_stripped_click_does_not_renew_under_only_fbclid(self):
+        expires = expiry_after_revisit(
+            ExpirationPolicy.ONLY_FBCLID, CLICK_URL, strips_fbclid=True
+        )
+        assert expires == COOKIE_LIFETIME_MS
+
+    def test_stripped_click_reload_renews_under_only_reload(self):
+        expires = expiry_after_revisit(
+            ExpirationPolicy.ONLY_RELOAD, CLICK_URL, reload=True, strips_fbclid=True
+        )
+        assert expires == 91 * DAY_MS
+
 
 class TestConsent:
     @pytest.mark.parametrize("mode", [ConsentMode.REJECT_ALL, ConsentMode.NO_ACTION])
