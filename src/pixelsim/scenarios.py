@@ -38,6 +38,7 @@ ACTIONS: dict[str, tuple[set[str], set[str]]] = {
     "RotateExternalId": ({"browser", "site"}, set()),
 }
 _EVENT_NAMES = tuple(e.value for e in EventName)  # a tuple: a bad value may be unhashable
+_STRING_PARAMS = ("browser", "site", "account", "name", "value", "element_class")
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,10 @@ class Scenario:
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
     def validate(self) -> None:
-        """Check every step's action, parameters and tick before any runs."""
+        """Check the browsers and every step's action, parameters and tick before any runs."""
+        for spec in self.browsers:
+            if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
+                raise ValidationError(f"browser entry needs a string 'id': {spec!r}")
         last_tick = None
         for i, step in enumerate(self.steps):
             if step.action not in ACTIONS:
@@ -68,14 +72,30 @@ class Scenario:
             unknown = sorted(step.params.keys() - required - optional)
             if unknown:
                 raise ValidationError(f"unknown {step.action} parameter {unknown[0]!r}", i)
+            for name in _STRING_PARAMS:
+                if not isinstance(step.params.get(name, ""), str):
+                    raise ValidationError(f"{name} must be a string, not {step.params[name]!r}", i)
+            extras = step.params.get("url_extras", [])
+            if not _is_string_pairs(extras):
+                raise ValidationError(f"url_extras must be a list of two-string pairs, not {extras!r}", i)
             if step.params.get("event", "PageView") not in _EVENT_NAMES:
                 raise ValidationError(f"unknown event {step.params['event']!r}", i)
             days = step.params.get("days", 0)
             if type(days) is not int or days < 0:
                 raise ValidationError(f"days must be a non-negative int, not {days!r}", i)
+            if type(step.tick) is not int:
+                raise ValidationError(f"tick must be an int, not {step.tick!r}", i)
             if last_tick is not None and step.tick <= last_tick:
                 raise ValidationError("step ticks must be strictly increasing", i)
             last_tick = step.tick
+
+
+def _is_string_pairs(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2
+        and all(isinstance(part, str) for part in pair)
+        for pair in value
+    )
 
 
 @dataclass
@@ -245,15 +265,24 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict) or "seed" not in data:
+        raise ValidationError("a scenario is an object with a 'seed'")
     steps = []
-    for raw in data.get("steps", []):
-        raw = dict(raw)
-        tick = raw.pop("tick")
-        action = raw.pop("action")
-        steps.append(Step(tick=tick, action=action, params=raw))
+    for i, raw in enumerate(data.get("steps", [])):
+        if not isinstance(raw, dict):
+            raise ValidationError(f"a step is an object, not {raw!r}", i)
+        params = dict(raw)
+        for name in ("tick", "action"):
+            if name not in params:
+                raise ValidationError(f"step needs {name!r}", i)
+        steps.append(Step(tick=params.pop("tick"), action=params.pop("action"), params=params))
+    try:
+        consent_mode = ConsentMode(data.get("consent_mode", "AcceptAll"))
+    except ValueError:
+        raise ValidationError(f"unknown consent_mode {data['consent_mode']!r}") from None
     return Scenario(
         seed=data["seed"],
-        consent_mode=ConsentMode(data.get("consent_mode", "AcceptAll")),
+        consent_mode=consent_mode,
         sites=[_site_from_dict(s) for s in data.get("sites", [])],
         browsers=data.get("browsers", []),
         steps=steps,

@@ -65,6 +65,16 @@ class TestRun:
         assert "error: step 1: " in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_malformed_step_is_an_error_line(self, tmp_path):
+        data = scenario_to_dict(random_scenario(5))
+        data["steps"][1]["tick"] = str(data["steps"][1]["tick"])
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data), encoding="utf-8")
+        result = invoke("run", str(scenario_path), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert "error: step 1: tick must be an int" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_world(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(

@@ -62,6 +62,27 @@ class TestValidation:
         ],
     )
     def test_bad_step_rejected_before_any_step_runs(self, action, params):
+        self._assert_second_step_rejected_before_any_runs(action, params)
+
+    @pytest.mark.parametrize(
+        "action, params",
+        [
+            ("Visit", {"browser": ["b"], "site": "shop.example"}),
+            ("Visit", {"browser": "b1", "site": 7}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": [1]}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": [["a", "b", "c"]]}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": [["a", 2]]}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": "a=b"}),
+            ("PlatformLoad", {"account": 3}),
+            ("PlatformClick", {"account": "u1", "site": "shop.example", "element_class": None}),
+            ("DeleteCookie", {"browser": "b1", "site": "shop.example", "name": {"_fbp": 1}}),
+            ("InjectFbclid", {"browser": "b1", "site": "shop.example", "value": 12}),
+        ],
+    )
+    def test_parameter_types_checked_before_any_step_runs(self, action, params):
+        self._assert_second_step_rejected_before_any_runs(action, params)
+
+    def _assert_second_step_rejected_before_any_runs(self, action, params):
         scenario = simple_scenario(
             steps=[
                 Step(1, "Visit", {"browser": "b1", "site": "shop.example"}),
@@ -307,6 +328,29 @@ class TestScenarioFiles:
             data["sites"][0] = bad
             with pytest.raises(ValidationError):
                 scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "spoil, step_index",
+        [
+            (lambda d: d.update(consent_mode="Maybe"), None),
+            (lambda d: d.pop("seed"), None),
+            (lambda d: d["steps"][1].pop("tick"), 1),
+            (lambda d: d["steps"][1].pop("action"), 1),
+            (lambda d: d["steps"][1].update(tick="20"), 1),
+            (lambda d: d["browsers"][0].pop("id"), None),
+            (lambda d: d["steps"].__setitem__(1, "Reload"), 1),
+        ],
+        ids=[
+            "unknown-consent-mode", "no-seed", "no-tick", "no-action",
+            "string-tick", "browser-without-id", "step-not-an-object",
+        ],
+    )
+    def test_malformed_dict_is_a_validation_error(self, spoil, step_index):
+        data = json.loads(json.dumps(scenario_to_dict(simple_scenario())))
+        spoil(data)
+        with pytest.raises(ValidationError) as excinfo:
+            run(scenario_from_dict(data))
+        assert excinfo.value.step_index == step_index
 
     def test_load_scenario_file(self, tmp_path):
         scenario = simple_scenario(consent_mode=ConsentMode.REJECT_ALL)
