@@ -72,7 +72,7 @@ class IdentityGraph:
         return self._by_key.get(key)
 
     def profiles(self) -> list[PseudonymProfile]:
-        """Each live profile once, in the order its first key arrived."""
+        """Each live profile once, ordered by the arrival of its earliest key."""
         return list(dict.fromkeys(self._by_key.values()))
 
     def _merge(self, site: str, a: PseudonymProfile, b: PseudonymProfile) -> bool:

@@ -59,14 +59,6 @@ class TestValidation:
             ("AdvanceDays", {"days": -1}),
             ("AdvanceDays", {"days": "2"}),
             ("PlatformLoad", {}),
-        ],
-    )
-    def test_bad_step_rejected_before_any_step_runs(self, action, params):
-        self._assert_second_step_rejected_before_any_runs(action, params)
-
-    @pytest.mark.parametrize(
-        "action, params",
-        [
             ("Visit", {"browser": ["b"], "site": "shop.example"}),
             ("Visit", {"browser": "b1", "site": 7}),
             ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": [1]}),
@@ -79,10 +71,7 @@ class TestValidation:
             ("InjectFbclid", {"browser": "b1", "site": "shop.example", "value": 12}),
         ],
     )
-    def test_parameter_types_checked_before_any_step_runs(self, action, params):
-        self._assert_second_step_rejected_before_any_runs(action, params)
-
-    def _assert_second_step_rejected_before_any_runs(self, action, params):
+    def test_bad_step_rejected_before_any_step_runs(self, action, params):
         scenario = simple_scenario(
             steps=[
                 Step(1, "Visit", {"browser": "b1", "site": "shop.example"}),
