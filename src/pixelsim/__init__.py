@@ -14,15 +14,12 @@ from .cookies import (
     parse_fbp,
     serialize_fbc,
     serialize_fbp,
-    strip_tracking_params,
     subdomain_index,
 )
-from .pixel import EmissionRecord, on_page_event
+from .pixel import EmissionRecord, PageEmissions, on_page_event
 from .reporting import (
     Distribution,
-    ExpectedTable,
     MetricsReport,
-    compare,
     tally_classes,
     third_party_distribution,
 )

@@ -216,11 +216,6 @@ def extract_fbclid(url: TrackedUrl) -> Fbclid | None:
     return Fbclid(value)
 
 
-def strip_tracking_params(url: TrackedUrl, blocklist: set[str]) -> TrackedUrl:
-    kept = tuple(p for p in url.query if p[0] not in blocklist)
-    return replace(url, query=kept)
-
-
 @dataclass(frozen=True)
 class EventReport:
     """One pixel GET request: what was sent, about what, to whom."""

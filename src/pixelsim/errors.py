@@ -44,10 +44,6 @@ class DuplicateAccount(SimulatorError):
     pass
 
 
-class MissingMetric(SimulatorError):
-    pass
-
-
 class ValidationError(SimulatorError):
     def __init__(self, message: str, step_index: int | None = None):
         self.step_index = step_index

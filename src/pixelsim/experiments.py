@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH
-from .pixel import FBP_NAME, EmissionRecord
+from .cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, EventReport
+from .pixel import FBP_NAME, PageEmissions
 from .reporting import MetricsReport, tally_classes, third_party_distribution
 from .scenarios import RunResult, Scenario, Step, run
 from .social import PlatformFeed
@@ -136,7 +136,7 @@ def experiment_profiling(
         Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps)
     )
 
-    observed = tally_classes(result.log, domains)
+    observed = tally_classes(result.emissions, domains)
     report = result.report
     report.classes = observed
     for count, rc in zip(class_counts, REPORTING_CLASS_ORDER):
@@ -328,19 +328,19 @@ def experiment_external_id(
 
     result = run(Scenario(seed=seed, sites=sites, browsers=browsers, steps=steps))
 
-    # Per-site observation from the hop-0 log.
+    # Per-site observation from the hop-0 reports.
     ext_by_site_browser: dict[str, dict[str, set[str]]] = {}
     fbp_by_site: dict[str, dict[str, None]] = {}  # b1's distinct values, in order
-    for record in result.log:
-        if record.hop != 0:
+    for page in result.emissions:
+        report = page.report
+        if report is None:
             continue
-        site = record.site
-        if record.report.external_id is not None:
-            ext_by_site_browser.setdefault(site, {}).setdefault(record.browser_id, set()).add(
-                record.report.external_id
+        if report.external_id is not None:
+            ext_by_site_browser.setdefault(page.site, {}).setdefault(page.browser_id, set()).add(
+                report.external_id
             )
-        if record.report.fbp is not None and record.browser_id == "b1":
-            fbp_by_site.setdefault(site, {})[record.report.fbp] = None
+        if report.fbp is not None and page.browser_id == "b1":
+            fbp_by_site.setdefault(page.site, {})[report.fbp] = None
 
     observed_sharing = sorted(ext_by_site_browser)
     merged_sites = []
@@ -454,14 +454,15 @@ def experiment_propagation(
             Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps)
         )
         results[variant] = result
-        report.site_flags[variant] = emission_signatures(result.log, domains)
-        report.counters[f"third_parties_informed_{variant}"] = sum(
-            1 for r in result.log if r.hop in (1, 2)
+        report.site_flags[variant] = emission_signatures(result.emissions, domains)
+        counters = result.report.counters
+        report.counters[f"third_parties_informed_{variant}"] = (
+            counters["emissions_hop1"] + counters["emissions_hop2"]
         )
 
     first = results["real"]
-    unique = third_party_distribution(first.log, domains, "unique_first_hop")
-    total = third_party_distribution(first.log, domains, "total_two_hop")
+    unique = third_party_distribution(first.emissions, domains, "unique_first_hop")
+    total = third_party_distribution(first.emissions, domains, "total_two_hop")
     report.distributions["unique_first_hop"] = unique.cdf_points()
     report.distributions["total_two_hop"] = total.cdf_points()
     report.counters.update(
@@ -478,24 +479,35 @@ def experiment_propagation(
     return report, results
 
 
-def emission_signatures(log: list[EmissionRecord], sites: list[str]) -> dict[str, str]:
+def emission_signatures(emissions: list[PageEmissions], sites: list[str]) -> dict[str, str]:
     """Per-site multiset of (destination, hop, identifier presence) flags.
 
     Click-ID values themselves are excluded so signatures can be compared
     across injected variants.
     """
     per_site: dict[str, list[str]] = {site: [] for site in sites}
-    for record in log:
-        if record.site not in per_site:
+    for page in emissions:
+        items = per_site.get(page.site)
+        if items is None:
             continue
-        r = record.report
-        per_site[record.site].append(
-            f"{r.destination}|h{record.hop}"
-            f"|fbp={int(r.fbp is not None)}"
-            f"|fbc={int(r.fbc is not None)}"
-            f"|clid={int(r.fbclid_param is not None)}"
-        )
+        if page.report is not None:
+            items.append(f"{page.report.destination}|h0{_flags(page.report)}")
+        if page.fanout:
+            # Every destination got the same payload: format its flags once.
+            flags = _flags(page.forwarded)
+            first, second = "|h1" + flags, "|h2" + flags
+            for destination, forwardees in page.fanout:
+                items.append(destination + first)
+                items.extend(forwardee + second for forwardee in forwardees)
     return {site: ";".join(sorted(items)) for site, items in per_site.items()}
+
+
+def _flags(report: EventReport) -> str:
+    return (
+        f"|fbp={int(report.fbp is not None)}"
+        f"|fbc={int(report.fbc is not None)}"
+        f"|clid={int(report.fbclid_param is not None)}"
+    )
 
 
 # -- consent compliance ----------------------------------------------------

@@ -2,13 +2,15 @@
 
 ``on_page_event`` is the single entry point: given a browser's visit to a
 URL and the event it fired, it mutates the browser's cookie jar according
-to the site's configuration and returns the emission records (hop 0 to
-the tracker, hops 1 and 2 to configured third parties).
+to the site's configuration and returns what the page sent: the hop-0
+report to the tracker and one payload forwarded to the configured third
+parties (hops 1 and 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 from .cookies import (
     EventName,
@@ -44,6 +46,36 @@ class EmissionRecord:
     hop: int  # 0 tracker, 1 first-hop third party, 2 second-hop
     site: str  # the visited site, as configured
     browser_id: str  # the browser that made the visit
+
+
+@dataclass(frozen=True)
+class PageEmissions:
+    """Everything one page event sent.
+
+    Every third party is handed the same ``forwarded`` payload, so it is
+    kept once, with an empty destination.  ``fanout`` lists the hop-1
+    destinations in configured order, each with the hop-2 destinations it
+    forwards to.  Iterating expands this into one record per destination,
+    hop 0 first; a page whose pixel did not run iterates as empty.
+    """
+
+    site: str  # the visited site, as configured
+    browser_id: str  # the browser that made the visit
+    report: EventReport | None = None  # hop 0, to the tracker
+    forwarded: EventReport | None = None  # set whenever ``fanout`` is non-empty
+    fanout: tuple[tuple[str, tuple[str, ...]], ...] = ()
+
+    def __iter__(self) -> Iterator[EmissionRecord]:
+        if self.report is not None:
+            yield EmissionRecord(self.report, 0, self.site, self.browser_id)
+        for destination, forwardees in self.fanout:
+            yield self._record(destination, 1)
+            for forwardee in forwardees:
+                yield self._record(forwardee, 2)
+
+    def _record(self, destination: str, hop: int) -> EmissionRecord:
+        report = replace(self.forwarded, destination=destination)
+        return EmissionRecord(report, hop, self.site, self.browser_id)
 
 
 def _consent_blocks(world: World, site: SiteConfig) -> bool:
@@ -90,12 +122,11 @@ def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar,
 
 
 def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventName,
-                  reload: bool = False) -> list[EmissionRecord]:
+                  reload: bool = False) -> PageEmissions:
     site = world.site(url.origin)
-    if not site.has_pixel or site.expiration_policy is ExpirationPolicy.BLOCKED:
-        return []
-    if _consent_blocks(world, site):
-        return []
+    if (not site.has_pixel or site.expiration_policy is ExpirationPolicy.BLOCKED
+            or _consent_blocks(world, site)):
+        return PageEmissions(url.origin, browser_id)
 
     now = world.clock.now
     jar = world.browser(browser_id).jar(site.domain)
@@ -119,11 +150,11 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
     apply_expiration_policy(world, site, jar, fbclid is not None, reload)
 
     fbp_value = jar.read(FBP_NAME, now)
-    fbc_value = jar.read(FBC_NAME, now)
     page_url = url.serialize()
-    emissions: list[EmissionRecord] = []
 
+    report = None
     if event in site.tracked_events and _reporting_permits(site, fbclid):
+        fbc_value = jar.read(FBC_NAME, now)
         include_fbc = site.reporting_class is not ReportingClass.FBP_ONLY
         # The bare click-ID fallback fires only when the _fbc write itself
         # was suppressed but the parameter was present in the URL.
@@ -139,19 +170,23 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
             fbclid_param=bare,
             external_id=external_id_for(world, site, browser_id),
         )
-        emissions.append(EmissionRecord(report, 0, url.origin, browser_id))
 
-    for third_party in site.first_hop_third_parties:
-        emissions.append(EmissionRecord(
-            _forwarded(site, event, page_url, now, third_party, fbp_value, fbclid),
-            1, url.origin, browser_id,
-        ))
-        for forwardee in site.second_hop_forwarding.get(third_party, ()):
-            emissions.append(EmissionRecord(
-                _forwarded(site, event, page_url, now, forwardee, fbp_value, fbclid),
-                2, url.origin, browser_id,
-            ))
-    return emissions
+    if not site.first_hop_third_parties:
+        return PageEmissions(url.origin, browser_id, report)
+    # Third-party wire format is unspecified upstream; every destination is
+    # handed the report shape, without the tracker-only _fbc and external ID.
+    forwarded = EventReport(
+        pixel_id=site.pixel_id,
+        event=event,
+        page_url=page_url,
+        timestamp=now,
+        destination="",
+        fbp=fbp_value,
+        fbclid_param=fbclid,
+    )
+    forwarding = site.second_hop_forwarding
+    fanout = tuple((tp, forwarding.get(tp, ())) for tp in site.first_hop_third_parties)
+    return PageEmissions(url.origin, browser_id, report, forwarded, fanout)
 
 
 def _reporting_permits(site: SiteConfig, fbclid: Fbclid | None) -> bool:
@@ -161,18 +196,3 @@ def _reporting_permits(site: SiteConfig, fbclid: Fbclid | None) -> bool:
     if rc is ReportingClass.FBP_ONLY_WITH_FBCLID:
         return fbclid is not None
     return True
-
-
-def _forwarded(site: SiteConfig, event: EventName, page_url: str, now: int,
-               destination: str, fbp_value: str | None, fbclid: Fbclid | None) -> EventReport:
-    # Third-party wire format is unspecified upstream; the hop records reuse
-    # the report shape with the destination overridden.
-    return EventReport(
-        pixel_id=site.pixel_id,
-        event=event,
-        page_url=page_url,
-        timestamp=now,
-        destination=destination,
-        fbp=fbp_value,
-        fbclid_param=fbclid,
-    )

@@ -1,8 +1,8 @@
-"""Aggregation of emission logs into metric reports.
+"""Aggregation of a run's page emissions into metric reports.
 
 Pure post-processing: class tallies from observed report contents,
-per-site third-party counts with first-party-subdomain exclusion, CDFs,
-and comparison of a report against a table of expected values.
+per-site third-party counts with first-party-subdomain exclusion, and
+CDFs.
 """
 
 from __future__ import annotations
@@ -10,27 +10,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
-from .errors import MissingMetric
-from .pixel import EmissionRecord
+from .pixel import PageEmissions
 from .world import TRACKER_DOMAIN
 
 
 @dataclass
 class Distribution:
-    """Sorted sample with a mean-of-middles median and an evaluable CDF."""
+    """Sorted sample with a mean-of-middles median and its CDF."""
 
     samples: list[float]
 
     def __post_init__(self):
         self.samples = sorted(self.samples)
-
-    @property
-    def min(self) -> float:
-        return self.samples[0]
 
     @property
     def max(self) -> float:
@@ -44,9 +38,6 @@ class Distribution:
             return self.samples[mid]
         return (self.samples[mid - 1] + self.samples[mid]) / 2
 
-    def cdf(self, x: float) -> float:
-        return bisect_right(self.samples, x) / len(self.samples)
-
     def cdf_points(self) -> list[tuple[float, float]]:
         """(x, cdf(x)) for each distinct sample value, ascending."""
         n = len(self.samples)
@@ -56,18 +47,6 @@ class Distribution:
             count += sum(1 for _ in run)
             points.append((x, count / n))
         return points
-
-
-@dataclass
-class ExpectedTable:
-    """Named expected values with absolute tolerances."""
-
-    entries: dict[str, tuple[float, float]]  # name -> (expected, tolerance)
-
-    def __post_init__(self):
-        for name, (_, tol) in self.entries.items():
-            if tol < 0:
-                raise ValueError(f"negative tolerance for {name!r}")
 
 
 @dataclass
@@ -91,7 +70,7 @@ class MetricsReport:
         return out.getvalue()
 
 
-def tally_classes(log: list[EmissionRecord], sites: list[str]) -> dict[str, int]:
+def tally_classes(emissions: list[PageEmissions], sites: list[str]) -> dict[str, int]:
     """Partition sites by the reporting behavior actually observed.
 
     Classification is by hop-0 report contents alone: a "plain" report
@@ -100,13 +79,14 @@ def tally_classes(log: list[EmissionRecord], sites: list[str]) -> dict[str, int]
     """
     plain: set[str] = set()
     clicked: set[str] = set()
-    for record in log:
-        if record.hop != 0:
+    for page in emissions:
+        report = page.report
+        if report is None:
             continue
-        if record.report.fbc is not None or record.report.fbclid_param is not None:
-            clicked.add(record.site)
+        if report.fbc is not None or report.fbclid_param is not None:
+            clicked.add(page.site)
         else:
-            plain.add(record.site)
+            plain.add(page.site)
     tallies = {"Both": 0, "FbpOnlyWithFbclid": 0, "FbpOnly": 0, "Silent": 0}
     for site in sites:
         if site in clicked and site in plain:
@@ -129,25 +109,27 @@ def _excluded(destination: str, site: str) -> bool:
 
 
 def destination_sets(
-    log: list[EmissionRecord], sites: list[str]
+    emissions: list[PageEmissions], sites: list[str]
 ) -> dict[str, tuple[set[str], set[str]]]:
     """Per site: (unique hop-1 destinations, unique hop-2 destinations)."""
     result = {site: (set(), set()) for site in sites}
-    for record in log:
-        if record.hop not in (1, 2):
+    for page in emissions:
+        if not page.fanout or page.site not in result:
             continue
-        site = record.site
-        if site not in result:
-            continue
-        destination = record.report.destination
-        if _excluded(destination, site):
-            continue
-        result[site][record.hop - 1].add(destination)
+        first, second = result[page.site]
+        for destination, forwardees in page.fanout:
+            first.add(destination)
+            second.update(forwardees)
+    # Each distinct destination is checked once, however often it was sent to.
+    for site, (first, second) in result.items():
+        excluded = {d for d in first | second if _excluded(d, site)}
+        first -= excluded
+        second -= excluded
     return result
 
 
 def third_party_distribution(
-    log: list[EmissionRecord], sites: list[str], scope: str = "unique_first_hop"
+    emissions: list[PageEmissions], sites: list[str], scope: str = "unique_first_hop"
 ) -> Distribution:
     """Per-site third-party counts.
 
@@ -157,7 +139,7 @@ def third_party_distribution(
     """
     if scope not in ("unique_first_hop", "total_two_hop"):
         raise ValueError(f"unknown scope {scope!r}")
-    sets = destination_sets(log, sites)
+    sets = destination_sets(emissions, sites)
     samples = []
     for site in sites:
         first, second = sets[site]
@@ -166,18 +148,3 @@ def third_party_distribution(
             count += len(second)
         samples.append(count)
     return Distribution(samples)
-
-
-def compare(report: MetricsReport, expected: ExpectedTable) -> list[tuple[str, bool, float]]:
-    results = []
-    for name, (value, tolerance) in expected.entries.items():
-        if name in report.counters:
-            observed = report.counters[name]
-        elif name in report.classes:
-            observed = report.classes[name]
-        else:
-            raise MissingMetric(name)
-        delta = observed - value
-        results.append((name, abs(delta) <= tolerance, delta))
-    report.comparisons.extend(results)
-    return results

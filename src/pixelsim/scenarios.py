@@ -2,8 +2,8 @@
 
 A scenario is a seed, a set of site configs, a set of browsers, and a
 tick-ordered list of steps.  Running it produces the final world state,
-the emission log, the identity graph, and a metrics report.  Two runs
-with the same scenario are byte-identical.
+each page event's emissions, the identity graph, and a metrics report.
+Two runs with the same scenario are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cookies import EventName, TrackedUrl
 from .errors import SimulatorError, ValidationError
-from .pixel import EmissionRecord, on_page_event
+from .pixel import EmissionRecord, PageEmissions, on_page_event
 from .reporting import MetricsReport
 from .social import PlatformFeed
 from .tracker import IdentityGraph
@@ -57,7 +57,13 @@ class Scenario:
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
     def validate(self) -> None:
-        """Check the browsers and every step's action, parameters and tick before any runs."""
+        """Check the sites, the browsers and every step's action, parameters
+        and tick before any runs."""
+        domains = set()
+        for site in self.sites:
+            if site.domain in domains:
+                raise ValidationError(f"site {site.domain!r} is listed twice")
+            domains.add(site.domain)
         for spec in self.browsers:
             if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
                 raise ValidationError(f"browser entry needs a string 'id': {spec!r}")
@@ -104,8 +110,13 @@ class RunResult:
     world: World
     feed: PlatformFeed
     graph: IdentityGraph
-    log: list[EmissionRecord]
+    emissions: list[PageEmissions]  # one per page event, in step order
     report: MetricsReport
+
+    @property
+    def log(self) -> list[EmissionRecord]:
+        """Every emission as its own record, expanded from ``emissions``."""
+        return [record for page in self.emissions for record in page]
 
 
 def run(
@@ -126,30 +137,33 @@ def run(
             user_agent=spec.get("user_agent", "ua-default"),
         )
 
-    log: list[EmissionRecord] = []
+    emissions: list[PageEmissions] = []
 
     for index, step in enumerate(scenario.steps):
         if step.tick < world.clock.now:
             raise ValidationError("tick precedes current time", index)
         world.clock.advance(step.tick - world.clock.now)
         try:
-            emissions = _execute(world, feed, graph, step)
+            page = _execute(world, feed, graph, step)
         except SimulatorError as exc:
             raise ValidationError(str(exc), index) from exc
-        for record in emissions:
-            log.append(record)
-            if record.hop == 0:
-                graph.ingest(record.report)
+        if page is not None:
+            emissions.append(page)
+            if page.report is not None:
+                graph.ingest(page.report)
         world.end_step()
         if observe is not None:
             observe(step, world)
 
+    hop0 = sum(1 for page in emissions if page.report is not None)
+    hop1 = sum(len(page.fanout) for page in emissions)
+    hop2 = sum(len(forwardees) for page in emissions for _, forwardees in page.fanout)
     report = MetricsReport(
         counters={
-            "emissions_total": len(log),
-            "emissions_hop0": sum(1 for r in log if r.hop == 0),
-            "emissions_hop1": sum(1 for r in log if r.hop == 1),
-            "emissions_hop2": sum(1 for r in log if r.hop == 2),
+            "emissions_total": hop0 + hop1 + hop2,
+            "emissions_hop0": hop0,
+            "emissions_hop1": hop1,
+            "emissions_hop2": hop2,
             "profiles": len(graph.profiles()),
             "links": len(graph.resolve()),
             "anomalies": len(graph.anomalies),
@@ -161,7 +175,7 @@ def run(
         world=world,
         feed=feed,
         graph=graph,
-        log=log,
+        emissions=emissions,
         report=report,
     )
 
@@ -172,7 +186,7 @@ def _site_url(site: str, extras: list[tuple[str, str]] | None = None) -> Tracked
 
 def _page_event(
     world: World, step: Step, browser_id: str, url: TrackedUrl, reload: bool = False
-) -> list[EmissionRecord]:
+) -> PageEmissions:
     """A page visit to ``url`` firing the step's event."""
     event = EventName(step.params.get("event", "PageView"))
     return on_page_event(world, browser_id, url, event, reload)
@@ -180,7 +194,8 @@ def _page_event(
 
 def _execute(
     world: World, feed: PlatformFeed, graph: IdentityGraph, step: Step
-) -> list[EmissionRecord]:
+) -> PageEmissions | None:
+    """Carry out one step; a page event returns its emissions."""
     p = step.params
     action = step.action
 
@@ -194,7 +209,7 @@ def _execute(
     if action == "PlatformLoad":
         world.account(p["account"])
         feed.refresh_click_ids(p["account"], step.tick)
-        return []
+        return None
 
     if action == "PlatformClick":
         account = p["account"]
@@ -215,20 +230,20 @@ def _execute(
         world.create_account(p["account"])
         graph.known_accounts.add(p["account"])
         world.browser(p["browser"]).logged_in = p["account"]
-        return []
+        return None
 
     if action == "Login":
         world.account(p["account"])
         world.browser(p["browser"]).logged_in = p["account"]
-        return []
+        return None
 
     if action == "DeleteCookie":
         world.browser(p["browser"]).jar(p["site"]).delete(p["name"])
-        return []
+        return None
 
     if action == "AdvanceDays":
         world.clock.advance(p["days"] * DAY_MS)
-        return []
+        return None
 
     if action == "InjectFbclid":
         url = _site_url(p["site"], [("fbclid", p["value"])])
@@ -237,7 +252,7 @@ def _execute(
     if action == "RotateExternalId":
         world.browser(p["browser"])
         world.external_ids.rotate(world.site(p["site"]).domain, p["browser"])
-        return []
+        return None
 
     raise ValidationError(f"unknown action {action!r}")
 
@@ -267,6 +282,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict) or "seed" not in data:
         raise ValidationError("a scenario is an object with a 'seed'")
+    for name in ("steps", "sites", "browsers"):
+        if not isinstance(data.get(name, []), list):
+            raise ValidationError(f"{name} must be a list, not {data[name]!r}")
     steps = []
     for i, raw in enumerate(data.get("steps", [])):
         if not isinstance(raw, dict):
@@ -290,7 +308,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    return scenario_from_dict(data)
 
 
 def _site_to_dict(site: SiteConfig) -> dict:
@@ -310,6 +332,8 @@ def _to_json(value):
 
 
 def _site_from_dict(data: dict) -> SiteConfig:
+    if not isinstance(data, dict):
+        raise ValidationError(f"a site config is an object, not {data!r}")
     types = typing.get_type_hints(SiteConfig)
     unknown = sorted(set(data) - set(types))
     if unknown:

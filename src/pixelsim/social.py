@@ -49,11 +49,6 @@ class ClickIdArray(Sequence[Fbclid]):
             self._ids[slot] = click_id
         return click_id
 
-    def __eq__(self, other):
-        if isinstance(other, (ClickIdArray, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
 
 @dataclass
 class PageLoad:

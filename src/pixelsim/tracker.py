@@ -9,7 +9,8 @@ on the same site.
 
 from __future__ import annotations
 
-from bisect import insort
+import heapq
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 from .cookies import EventReport, TrackedUrl, parse_fbc, parse_fbp
@@ -36,6 +37,10 @@ class PseudonymProfile:
     activity: list[Activity] = field(default_factory=list)
     linked_account: str | None = None
     external_ids: set[str] = field(default_factory=set)
+    min_key: ProfileKey | None = field(init=False)  # the smallest of ``keys``
+
+    def __post_init__(self):
+        self.min_key = min(self.keys, default=None)
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,13 @@ class IdentityGraph:
             )
             return False
         a.keys |= b.keys
-        for activity in b.activity:
-            insort(a.activity, activity, key=Activity.as_tuple)
+        a.min_key = min(a.min_key, b.min_key)
+        if b.activity:
+            # ``a``'s activities up to ``b``'s first stay put (usually all
+            # of them); one stable merge pass interleaves the rest, so on
+            # equal keys ``a``'s come first, as with insort.
+            start = bisect_right(a.activity, b.activity[0].as_tuple(), key=Activity.as_tuple)
+            a.activity[start:] = heapq.merge(a.activity[start:], b.activity, key=Activity.as_tuple)
         a.external_ids |= b.external_ids
         if a.linked_account is None:
             a.linked_account = b.linked_account
@@ -150,7 +160,7 @@ class IdentityGraph:
 
         if profile is not None:
             outcome.linked_account = profile.linked_account
-            outcome.profile_key = min(profile.keys)
+            outcome.profile_key = profile.min_key
         return outcome
 
     def _checked_fbclid(self, report: EventReport, key: ProfileKey | None) -> str | None:
@@ -241,9 +251,7 @@ class IdentityGraph:
                     "external_ids": sorted(p.external_ids),
                     "activity": [a.as_tuple() for a in p.activity],
                 }
-                for p in sorted(
-                    self.profiles(), key=lambda p: min(p.keys) if p.keys else ("", "")
-                )
+                for p in sorted(self.profiles(), key=lambda p: p.min_key)
             ],
             "links": [[list(k), a] for k, a in self.resolve()],
             "anomalies": [[a.kind, a.detail] for a in self.anomalies],

@@ -2,18 +2,22 @@
 
 The oracles here deliberately re-derive results from raw artifacts (the
 emission log, the click ledger, the site configs) with plain dicts and
-sets, sharing no code with the implementation paths they check.
+sets, sharing no code with the implementation paths they check.  The
+reference expansion builds a run's forwarded records one report per
+destination from the site configs.
 """
 
 from __future__ import annotations
 
 import random
 
-from pixelsim.cookies import CLICK_ID_ALPHABET, TrackedUrl
+from pixelsim.cookies import CLICK_ID_ALPHABET, EventReport, TrackedUrl, extract_fbclid
+from pixelsim.pixel import EmissionRecord
 from pixelsim.scenarios import RunResult, Scenario, Step
 from pixelsim.world import (
     DAY_MS,
     TRACKER_DOMAIN,
+    ConsentMode,
     ExpirationPolicy,
     ReportingClass,
     SiteConfig,
@@ -229,3 +233,46 @@ def bfs_destination_oracle(
             if not excluded(d):
                 hop2.add(d)
     return hop1, hop2
+
+
+def forwarding_reference(result: RunResult) -> list[EmissionRecord]:
+    """Every page event's hop-1 and hop-2 records, one report per destination.
+
+    For each hop-1 destination in the site's configured order: its record,
+    then one record per hop-2 destination it forwards to.  Destinations,
+    the pixel ID and whether the pixel ran come from the ``SiteConfig``
+    alone; the click ID comes from the page URL.  Only the page URL,
+    event, time and _fbp that a page event hands every destination are
+    read from the run.
+    """
+    assert result.scenario.consent_mode is ConsentMode.ACCEPT_ALL  # consent is not modelled
+    configs = {site.domain: site for site in result.scenario.sites}
+    records = []
+    for page in result.emissions:
+        site = configs[page.site]
+        runs = site.has_pixel and site.expiration_policy is not ExpirationPolicy.BLOCKED
+        assert (page.forwarded is not None) == (runs and bool(site.first_hop_third_parties))
+        if page.forwarded is None:
+            continue
+        shared = page.forwarded
+        fbclid = None
+        if not site.strips_fbclid:
+            fbclid = extract_fbclid(TrackedUrl.parse(shared.page_url))
+
+        def record(destination, hop):
+            report = EventReport(
+                pixel_id=site.pixel_id,
+                event=shared.event,
+                page_url=shared.page_url,
+                timestamp=shared.timestamp,
+                destination=destination,
+                fbp=shared.fbp,
+                fbclid_param=fbclid,
+            )
+            return EmissionRecord(report, hop, site.domain, page.browser_id)
+
+        for third_party in site.first_hop_third_parties:
+            records.append(record(third_party, 1))
+            for forwardee in site.second_hop_forwarding.get(third_party, ()):
+                records.append(record(forwardee, 2))
+    return records

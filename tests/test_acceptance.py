@@ -173,11 +173,11 @@ def test_criterion_3_oracles():
 
         domains = [s.domain for s in result.scenario.sites]
         for scope in ("unique_first_hop", "total_two_hop"):
-            observed = third_party_distribution(result.log, domains, scope)
+            observed = third_party_distribution(result.emissions, domains, scope)
             assert observed.samples == distribution_oracle(result, scope), (
                 f"seed {seed} scope {scope}"
             )
-        sets = destination_sets(result.log, domains)
+        sets = destination_sets(result.emissions, domains)
         for site in result.scenario.sites:
             hop1, hop2 = sets[site.domain]
             if hop1 or hop2:

@@ -65,6 +65,14 @@ class TestRun:
         assert "error: step 1: " in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_file_that_is_not_json_is_an_error_line(self, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text('{"seed": 1, ', encoding="utf-8")
+        result = invoke("run", str(scenario_path), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert "error: " in result.output and "not valid JSON" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_step_is_an_error_line(self, tmp_path):
         data = scenario_to_dict(random_scenario(5))
         data["steps"][1]["tick"] = str(data["steps"][1]["tick"])

@@ -22,7 +22,6 @@ from pixelsim.cookies import (
     parse_fbp,
     serialize_fbc,
     serialize_fbp,
-    strip_tracking_params,
     subdomain_index,
 )
 from pixelsim.errors import DomainMismatch, MalformedCookie, MalformedReport
@@ -194,15 +193,6 @@ class TestExtractAndStrip:
     def test_extract_empty_and_dotted_treated_as_absent(self):
         assert extract_fbclid(TrackedUrl.parse("https://a.example/?fbclid=")) is None
         assert extract_fbclid(TrackedUrl.parse("https://a.example/?fbclid=a.b")) is None
-
-    def test_strip_matches_naive_filter(self):
-        url = TrackedUrl.parse("https://a.example/?fbclid=XYZ&keep=1&gclid=2&keep=3")
-        blocklist = {"fbclid", "gclid"}
-        stripped = strip_tracking_params(url, blocklist)
-        naive = tuple(p for p in url.query if p[0] not in blocklist)
-        assert stripped.query == naive
-        # Idempotent: stripping twice changes nothing further.
-        assert strip_tracking_params(stripped, blocklist) == stripped
 
 
 class TestReportCodec:

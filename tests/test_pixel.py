@@ -3,7 +3,9 @@
 import pytest
 
 from pixelsim.cookies import EventName, TrackedUrl, parse_fbc, parse_fbp
-from pixelsim.pixel import FBC_NAME, FBP_NAME, EmissionRecord, on_page_event
+from pixelsim.experiments import experiment_propagation
+from pixelsim.pixel import FBC_NAME, FBP_NAME, EmissionRecord, PageEmissions, on_page_event
+from pixelsim.scenarios import run
 from pixelsim.world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
@@ -14,7 +16,7 @@ from pixelsim.world import (
     SiteConfig,
     World,
 )
-from helpers import bfs_destination_oracle
+from helpers import bfs_destination_oracle, forwarding_reference, random_scenario
 
 SITE = "www.shoes.com"
 
@@ -30,9 +32,10 @@ def visit(
     world: World, url: str | None = None, reload: bool = False,
     event: EventName = EventName.PAGE_VIEW,
 ) -> list[EmissionRecord]:
-    """Browser b1 loads ``url`` (the site's front page by default)."""
+    """Browser b1 loads ``url`` (the site's front page by default); returns
+    its emissions expanded to one record per destination."""
     tracked = TrackedUrl.parse(url or f"https://{SITE}/")
-    return on_page_event(world, "b1", tracked, event, reload)
+    return list(on_page_event(world, "b1", tracked, event, reload))
 
 
 def jar(world: World):
@@ -331,3 +334,63 @@ class TestPropagation:
         assert forwarded[0].fbp is not None
         assert forwarded[0].fbclid_param.value == "Clicked"
         assert forwarded[0].fbc is None
+
+    def test_one_payload_expands_in_configured_order(self):
+        world = make_world(
+            first_hop_third_parties=("ads.one.example", "cdn.two.example"),
+            second_hop_forwarding={"ads.one.example": ("exchange.example", "dsp.example")},
+        )
+        tracked = TrackedUrl.parse(f"https://{SITE}/?fbclid=Clicked")
+        page = on_page_event(world, "b1", tracked, EventName.PAGE_VIEW)
+        assert isinstance(page, PageEmissions)
+        assert (page.site, page.browser_id) == (SITE, "b1")
+        assert page.report.destination == TRACKER_DOMAIN
+        assert page.forwarded.fbclid_param.value == "Clicked"
+        assert page.fanout == (
+            ("ads.one.example", ("exchange.example", "dsp.example")),
+            ("cdn.two.example", ()),
+        )
+        assert [(r.hop, r.report.destination) for r in page] == [
+            (0, TRACKER_DOMAIN),
+            (1, "ads.one.example"),
+            (2, "exchange.example"),
+            (2, "dsp.example"),
+            (1, "cdn.two.example"),
+        ]
+        assert all(r.report.page_url == page.forwarded.page_url for r in page)
+
+    @pytest.mark.parametrize("site_kwargs, mode", [
+        ({"has_pixel": False}, ConsentMode.ACCEPT_ALL),
+        ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
+        ({"consent_compliant": True}, ConsentMode.REJECT_ALL),
+        ({"consent_requires_interaction": True}, ConsentMode.NO_ACTION),
+    ])
+    def test_page_without_pixel_is_an_empty_iterable(self, site_kwargs, mode):
+        world = make_world(first_hop_third_parties=("ads.partner.example",), **site_kwargs)
+        world.consent_mode = mode
+        page = on_page_event(world, "b1", TrackedUrl.parse(f"https://{SITE}/"),
+                             EventName.PAGE_VIEW)
+        assert page is not None
+        assert list(page) == []
+        assert (page.report, page.forwarded, page.fanout) == (None, None, ())
+
+
+class TestForwardingExpansion:
+    """A page event's payload and fan-out expand to one record per destination,
+    equal to a reference built from the site configs."""
+
+    def test_random_scenarios_match_reference(self):
+        for seed in range(200):
+            result = run(random_scenario(seed))
+            forwarded = [r for r in result.log if r.hop in (1, 2)]
+            assert forwarded == forwarding_reference(result), f"seed {seed}"
+
+    def test_propagation_variants_match_reference(self):
+        _, results = experiment_propagation(300, {"second_hop_fanout": 2})
+        assert set(results) == {"real", "random", "dummy"}
+        for variant, result in results.items():
+            forwarded = [r for r in result.log if r.hop in (1, 2)]
+            assert forwarded, variant
+            assert forwarded == forwarding_reference(result), variant
+            counters = result.report.counters
+            assert len(forwarded) == counters["emissions_hop1"] + counters["emissions_hop2"]

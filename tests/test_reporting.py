@@ -1,24 +1,21 @@
-"""Metric aggregation: distributions, class tallies, comparisons."""
+"""Metric aggregation: distributions, class tallies, serialization."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pixelsim.cookies import EventName, EventReport, Fbclid
-from pixelsim.errors import MissingMetric
-from pixelsim.pixel import EmissionRecord
+from pixelsim.pixel import PageEmissions
 from pixelsim.reporting import (
     Distribution,
-    ExpectedTable,
     MetricsReport,
-    compare,
     destination_sets,
     tally_classes,
     third_party_distribution,
 )
 
 
-def record(site, hop=0, dest="tracker.example", fbc=None, clid=None):
-    report = EventReport(
+def report(site, dest="tracker.example", fbc=None, clid=None):
+    return EventReport(
         pixel_id=f"px-{site}",
         event=EventName.PAGE_VIEW,
         page_url=f"https://{site}/",
@@ -28,7 +25,13 @@ def record(site, hop=0, dest="tracker.example", fbc=None, clid=None):
         fbc=fbc,
         fbclid_param=Fbclid(clid) if clid else None,
     )
-    return EmissionRecord(report=report, hop=hop, site=site, browser_id="b1")
+
+
+def page(site, hop0=None, fanout=(), clid=None):
+    """One page event on ``site``: an optional hop-0 report and a fan-out of
+    (hop-1 destination, its hop-2 destinations) pairs."""
+    forwarded = report(site, dest="", clid=clid) if fanout else None
+    return PageEmissions(site, "b1", hop0, forwarded, fanout)
 
 
 class TestDistribution:
@@ -40,40 +43,34 @@ class TestDistribution:
 
     def test_min_max(self):
         d = Distribution([4, 0, 7])
-        assert (d.min, d.max) == (0, 7)
+        assert (d.samples[0], d.max) == (0, 7)
 
     def test_cdf_counts_at_or_below(self):
         d = Distribution([0, 0, 2, 4])
-        assert d.cdf(-1) == 0.0
-        assert d.cdf(0) == 0.5
-        assert d.cdf(2) == 0.75
-        assert d.cdf(4) == 1.0
+        assert dict(d.cdf_points()) == {0: 0.5, 2: 0.75, 4: 1.0}
 
     def test_cdf_points_over_distinct_values(self):
         d = Distribution([1, 1, 3])
         assert d.cdf_points() == [(1, 2 / 3), (3, 1.0)]
 
-    @given(
-        samples=st.lists(st.integers(-5, 5), min_size=1, max_size=40),
-        probe=st.integers(-7, 7),
-    )
-    def test_cdf_matches_brute_force_count(self, samples, probe):
+    @given(samples=st.lists(st.integers(-5, 5), min_size=1, max_size=40))
+    def test_cdf_matches_brute_force_count(self, samples):
         d = Distribution(samples)
         count = lambda x: sum(1 for s in samples if s <= x) / len(samples)
-        assert d.cdf(probe) == count(probe)
         assert d.cdf_points() == [(x, count(x)) for x in sorted(set(samples))]
 
 
 class TestTally:
     def test_hand_computed_partition(self):
-        log = [
-            record("both.example"),  # plain report
-            record("both.example", fbc="fb.1.0.X"),  # clicked report
-            record("clickonly.example", clid="X"),
-            record("plain.example"),
+        emissions = [
+            page("both.example", report("both.example")),  # plain report
+            page("both.example", report("both.example", fbc="fb.1.0.X")),  # clicked report
+            page("clickonly.example", report("clickonly.example", clid="X")),
+            page("plain.example", report("plain.example")),
+            page("quiet.example"),  # the pixel did not run
         ]
         sites = ["both.example", "clickonly.example", "plain.example", "quiet.example"]
-        assert tally_classes(log, sites) == {
+        assert tally_classes(emissions, sites) == {
             "Both": 1,
             "FbpOnlyWithFbclid": 1,
             "FbpOnly": 1,
@@ -81,58 +78,37 @@ class TestTally:
         }
 
     def test_forwarded_hops_do_not_count(self):
-        log = [record("a.example", hop=1, dest="tp.example")]
-        assert tally_classes(log, ["a.example"])["Silent"] == 1
+        emissions = [page("a.example", fanout=(("tp.example", ()),), clid="X")]
+        assert tally_classes(emissions, ["a.example"])["Silent"] == 1
 
 
 class TestDestinationSets:
     def test_exclusions_and_hop_split(self):
         site = "shop.example"
-        log = [
-            record(site, hop=1, dest="ads.partner.example"),
-            record(site, hop=1, dest="metrics.shop.example"),  # own subdomain
-            record(site, hop=1, dest="tracker.example"),  # the tracker
-            record(site, hop=1, dest="sub.tracker.example"),
-            record(site, hop=2, dest="exchange.example"),
-            record(site, hop=2, dest="ads.partner.example"),  # reappears at hop 2
-        ]
-        sets = destination_sets(log, [site])
+        fanout = (
+            ("ads.partner.example", ("exchange.example",)),
+            ("metrics.shop.example", ()),  # own subdomain
+            ("tracker.example", ("ads.partner.example",)),  # the tracker; reappears at hop 2
+            ("sub.tracker.example", ()),
+        )
+        sets = destination_sets([page(site, report(site), fanout)], [site])
         assert sets[site][0] == {"ads.partner.example"}
         assert sets[site][1] == {"exchange.example", "ads.partner.example"}
 
     def test_distribution_scopes(self):
         site = "shop.example"
-        log = [
-            record(site, hop=1, dest="a.example"),
-            record(site, hop=1, dest="a.example"),  # duplicate emission
-            record(site, hop=1, dest="b.example"),
-            record(site, hop=2, dest="c.example"),
+        emissions = [
+            page(site, fanout=(("a.example", ()), ("b.example", ("c.example",)))),
+            page(site, fanout=(("a.example", ()),)),  # a second visit, same destination
+            page("elsewhere.example", fanout=(("d.example", ()),)),  # not a listed site
         ]
         sites = [site, "empty.example"]
-        unique = third_party_distribution(log, sites, "unique_first_hop")
+        unique = third_party_distribution(emissions, sites, "unique_first_hop")
         assert unique.samples == [0, 2]
-        total = third_party_distribution(log, sites, "total_two_hop")
+        total = third_party_distribution(emissions, sites, "total_two_hop")
         assert total.samples == [0, 3]
         with pytest.raises(ValueError):
-            third_party_distribution(log, sites, "bogus")
-
-
-class TestCompare:
-    def test_pass_and_fail_with_tolerance(self):
-        report = MetricsReport(counters={"a": 10.0}, classes={"Both": 7})
-        expected = ExpectedTable({"a": (10.4, 0.5), "Both": (5, 0)})
-        results = compare(report, expected)
-        assert ("a", True, pytest.approx(-0.4)) in results
-        assert ("Both", False, 2) in results
-        assert report.comparisons == results
-
-    def test_missing_metric_raises(self):
-        with pytest.raises(MissingMetric):
-            compare(MetricsReport(), ExpectedTable({"nope": (1, 0)}))
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            ExpectedTable({"a": (1, -0.1)})
+            third_party_distribution(emissions, sites, "bogus")
 
 
 class TestSerialization:

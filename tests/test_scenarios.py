@@ -84,6 +84,20 @@ class TestValidation:
         assert excinfo.value.step_index == 1
         assert ran == []
 
+    def test_site_listed_twice_rejected_before_any_step_runs(self):
+        scenario = simple_scenario(
+            sites=[
+                SiteConfig(domain="shop.example"),
+                SiteConfig(domain="news.example"),
+                SiteConfig(domain="shop.example", has_pixel=False),
+            ]
+        )
+        ran = []
+        with pytest.raises(ValidationError, match="'shop.example'") as excinfo:
+            run(scenario, observe=lambda step, world: ran.append(step))
+        assert excinfo.value.step_index is None
+        assert ran == []
+
     def test_runtime_errors_carry_step_index(self):
         scenario = simple_scenario(
             steps=[Step(1, "Visit", {"browser": "ghost", "site": "shop.example"})]
@@ -328,10 +342,16 @@ class TestScenarioFiles:
             (lambda d: d["steps"][1].update(tick="20"), 1),
             (lambda d: d["browsers"][0].pop("id"), None),
             (lambda d: d["steps"].__setitem__(1, "Reload"), 1),
+            (lambda d: d.update(steps=5), None),
+            (lambda d: d.update(sites=3), None),
+            (lambda d: d.update(browsers={"id": "b1"}), None),
+            (lambda d: d["sites"].append(3), None),
         ],
         ids=[
             "unknown-consent-mode", "no-seed", "no-tick", "no-action",
             "string-tick", "browser-without-id", "step-not-an-object",
+            "steps-not-a-list", "sites-not-a-list", "browsers-not-a-list",
+            "site-not-an-object",
         ],
     )
     def test_malformed_dict_is_a_validation_error(self, spoil, step_index):
@@ -340,6 +360,15 @@ class TestScenarioFiles:
         with pytest.raises(ValidationError) as excinfo:
             run(scenario_from_dict(data))
         assert excinfo.value.step_index == step_index
+
+    @pytest.mark.parametrize("content", [b'{"seed": 1, ', b'{"seed": 1}\xff'],
+                             ids=["truncated", "not-utf8"])
+    def test_file_that_is_not_json_is_a_validation_error(self, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="not valid JSON") as excinfo:
+            load_scenario(path)
+        assert excinfo.value.step_index is None
 
     def test_load_scenario_file(self, tmp_path):
         scenario = simple_scenario(consent_mode=ConsentMode.REJECT_ALL)

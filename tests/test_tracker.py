@@ -161,6 +161,23 @@ class TestExternalIds:
         assert profile is graph.profile((SITE, "fb.1.9.2"))
         assert [a.timestamp for a in profile.activity] == [1, 2]
 
+    def test_merge_keeps_equal_timestamps_in_arrival_order(self):
+        graph = IdentityGraph()
+        graph.ingest(make_report(5, fbp="fb.1.0.1", ext="ext-a"))
+        graph.ingest(make_report(7, fbp="fb.1.0.1"))
+        graph.ingest(make_report(5, fbp="fb.1.9.2"))
+        kept = graph.profile((SITE, "fb.1.0.1")).activity[0]
+        absorbed = graph.profile((SITE, "fb.1.9.2")).activity[0]
+        assert kept == absorbed and kept is not absorbed  # equal sort keys
+        outcome = graph.ingest(make_report(6, fbp="fb.1.9.2", ext="ext-a"))
+        assert outcome.merged
+        profile = graph.profile((SITE, "fb.1.0.1"))
+        assert profile is graph.profile((SITE, "fb.1.9.2"))
+        assert [a.timestamp for a in profile.activity] == [5, 5, 6, 7]
+        # The surviving profile's activity comes first among equals.
+        assert profile.activity[0] is kept and profile.activity[1] is absorbed
+        assert profile.min_key == (SITE, "fb.1.0.1")
+
     def test_rotated_external_id_does_not_merge(self):
         graph = IdentityGraph()
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
@@ -283,6 +300,7 @@ class TestInvariants:
         for profile in live:
             got = [a for key in profile.keys for a in received[key]]
             assert profile.activity == sorted(got, key=Activity.as_tuple)
+            assert profile.min_key == min(profile.keys)
         for key in received:
             assert [p for p in live if key in p.keys] == [graph.profile(key)]
         assert sum(len(p.keys) for p in live) == len(received)
