@@ -460,21 +460,13 @@ def experiment_propagation(
             counters["emissions_hop1"] + counters["emissions_hop2"]
         )
 
-    first = results["real"]
-    unique = third_party_distribution(first.emissions, domains, "unique_first_hop")
-    total = third_party_distribution(first.emissions, domains, "total_two_hop")
-    report.distributions["unique_first_hop"] = unique.cdf_points()
-    report.distributions["total_two_hop"] = total.cdf_points()
-    report.counters.update(
-        {
-            "sites_total": n_sites,
-            "unique_first_hop_median": unique.median,
-            "unique_first_hop_max": unique.max,
-            "total_two_hop_median": total.median,
-            "total_two_hop_max": total.max,
-            "zero_third_party_sites": sum(1 for s in unique.samples if s == 0),
-        }
-    )
+    distributions = third_party_distribution(results["real"].emissions, domains)
+    for scope, distribution in distributions.items():
+        report.distributions[scope] = distribution.cdf_points()
+        report.counters[f"{scope}_median"] = distribution.median
+        report.counters[f"{scope}_max"] = distribution.max
+    report.counters["sites_total"] = n_sites
+    report.counters["zero_third_party_sites"] = distributions["unique_first_hop"].samples.count(0)
     report.notes.append(CLOSURE_NOTE)
     return report, results
 

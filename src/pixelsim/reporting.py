@@ -129,22 +129,17 @@ def destination_sets(
 
 
 def third_party_distribution(
-    emissions: list[PageEmissions], sites: list[str], scope: str = "unique_first_hop"
-) -> Distribution:
-    """Per-site third-party counts.
+    emissions: list[PageEmissions], sites: list[str]
+) -> dict[str, Distribution]:
+    """Per-site third-party counts, from one pass over the destinations.
 
     ``unique_first_hop`` counts distinct hop-1 destinations.
     ``total_two_hop`` adds distinct hop-2 destinations on top, counting a
     domain again if it reappears in the second hop.
     """
-    if scope not in ("unique_first_hop", "total_two_hop"):
-        raise ValueError(f"unknown scope {scope!r}")
     sets = destination_sets(emissions, sites)
-    samples = []
-    for site in sites:
-        first, second = sets[site]
-        count = len(first)
-        if scope == "total_two_hop":
-            count += len(second)
-        samples.append(count)
-    return Distribution(samples)
+    counts = [(len(sets[site][0]), len(sets[site][1])) for site in sites]
+    return {
+        "unique_first_hop": Distribution([first for first, _ in counts]),
+        "total_two_hop": Distribution([first + second for first, second in counts]),
+    }

@@ -9,11 +9,13 @@ Two runs with the same scenario are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, EnumMeta
 from pathlib import Path
 
 from .cookies import EventName, TrackedUrl
@@ -24,84 +26,59 @@ from .social import PlatformFeed
 from .tracker import IdentityGraph
 from .world import DAY_MS, ConsentMode, SiteConfig, World
 
-# action -> (required parameter names, optional parameter names)
-ACTIONS: dict[str, tuple[set[str], set[str]]] = {
-    "Visit": ({"browser", "site"}, {"url_extras", "event"}),
-    "Reload": ({"browser", "site"}, {"event"}),
-    "PlatformLoad": ({"account"}, set()),
-    "PlatformClick": ({"account", "site"}, {"browser", "element_class", "event"}),
-    "CreateAccount": ({"browser", "account"}, set()),
-    "Login": ({"browser", "account"}, set()),
-    "DeleteCookie": ({"browser", "site", "name"}, set()),
-    "AdvanceDays": ({"days"}, set()),
-    "InjectFbclid": ({"browser", "site", "value"}, {"event"}),
-    "RotateExternalId": ({"browser", "site"}, set()),
-}
-_EVENT_NAMES = tuple(e.value for e in EventName)  # a tuple: a bad value may be unhashable
-_STRING_PARAMS = ("browser", "site", "account", "name", "value", "element_class")
-
 
 @dataclass(frozen=True)
 class Step:
+    """One step as written: ``params`` holds the fields of the ``action`` class."""
+
     tick: int
     action: str
     params: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class Browser:
+    """A scenario's browser entry."""
+
+    id: str
+    incognito: bool = False
+    user_agent: str = "ua-default"
 
 
 @dataclass
 class Scenario:
     seed: int
     sites: list[SiteConfig]
-    browsers: list[dict]  # {"id": str, "incognito": bool, "user_agent": str}
+    browsers: list[dict]  # each decodes as a Browser
     steps: list[Step]
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
-    def validate(self) -> None:
-        """Check the sites, the browsers and every step's action, parameters
-        and tick before any runs."""
-        domains = set()
-        for site in self.sites:
-            if site.domain in domains:
-                raise ValidationError(f"site {site.domain!r} is listed twice")
-            domains.add(site.domain)
-        for spec in self.browsers:
-            if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
-                raise ValidationError(f"browser entry needs a string 'id': {spec!r}")
+    def validate(self) -> tuple[list[Browser], list[Action]]:
+        """Decode the browsers and every step, and check the ticks and that
+        no site or browser is listed twice; returns the decoded browsers and
+        actions, which ``run`` uses."""
+        browsers = [_decode(Browser, b, f"browsers[{i}]") for i, b in enumerate(self.browsers)]
+        domains, ids = [s.domain for s in self.sites], [b.id for b in browsers]
+        for kind, names in ("site", domains), ("browser", ids):
+            repeated = [name for name, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ValidationError(f"{kind} {repeated[0]!r} is listed twice")
+        actions: list[Action] = []
         last_tick = None
         for i, step in enumerate(self.steps):
-            if step.action not in ACTIONS:
-                raise ValidationError(f"unknown action {step.action!r}", i)
-            required, optional = ACTIONS[step.action]
-            missing = sorted(required - step.params.keys())
-            if missing:
-                raise ValidationError(f"{step.action} needs parameter {missing[0]!r}", i)
-            unknown = sorted(step.params.keys() - required - optional)
-            if unknown:
-                raise ValidationError(f"unknown {step.action} parameter {unknown[0]!r}", i)
-            for name in _STRING_PARAMS:
-                if not isinstance(step.params.get(name, ""), str):
-                    raise ValidationError(f"{name} must be a string, not {step.params[name]!r}", i)
-            extras = step.params.get("url_extras", [])
-            if not _is_string_pairs(extras):
-                raise ValidationError(f"url_extras must be a list of two-string pairs, not {extras!r}", i)
-            if step.params.get("event", "PageView") not in _EVENT_NAMES:
-                raise ValidationError(f"unknown event {step.params['event']!r}", i)
-            days = step.params.get("days", 0)
-            if type(days) is not int or days < 0:
-                raise ValidationError(f"days must be a non-negative int, not {days!r}", i)
-            if type(step.tick) is not int:
-                raise ValidationError(f"tick must be an int, not {step.tick!r}", i)
-            if last_tick is not None and step.tick <= last_tick:
-                raise ValidationError("step ticks must be strictly increasing", i)
+            try:
+                if type(step.tick) is not int:
+                    raise ValidationError(f"tick must be an int, not {step.tick!r}")
+                if last_tick is not None and step.tick <= last_tick:
+                    raise ValidationError("step ticks must be strictly increasing")
+                cls = _ACTIONS.get(step.action) if type(step.action) is str else None
+                if cls is None:
+                    raise ValidationError(f"unknown action {step.action!r}")
+                actions.append(_decode(cls, step.params, step.action))
+            except ValidationError as exc:
+                raise ValidationError(str(exc), i) from None
             last_tick = step.tick
-
-
-def _is_string_pairs(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2
-        and all(isinstance(part, str) for part in pair)
-        for pair in value
-    )
+        return browsers, actions
 
 
 @dataclass
@@ -123,28 +100,24 @@ def run(
     scenario: Scenario, observe: Callable[[Step, World], None] | None = None
 ) -> RunResult:
     """Execute ``scenario``; ``observe(step, world)`` runs after each step."""
-    scenario.validate()
+    browsers, actions = scenario.validate()
     world = World(seed=scenario.seed)
     world.consent_mode = scenario.consent_mode
     feed = PlatformFeed(seed=scenario.seed)
     graph = IdentityGraph(click_ledger=feed)
     for config in scenario.sites:
         world.add_site(config)
-    for spec in scenario.browsers:
-        world.spawn_browser(
-            spec["id"],
-            incognito=spec.get("incognito", False),
-            user_agent=spec.get("user_agent", "ua-default"),
-        )
+    for browser in browsers:
+        world.spawn_browser(browser.id, incognito=browser.incognito, user_agent=browser.user_agent)
 
     emissions: list[PageEmissions] = []
 
-    for index, step in enumerate(scenario.steps):
+    for index, (step, action) in enumerate(zip(scenario.steps, actions)):
         if step.tick < world.clock.now:
             raise ValidationError("tick precedes current time", index)
         world.clock.advance(step.tick - world.clock.now)
         try:
-            page = _execute(world, feed, graph, step)
+            page = action.apply(world, feed, graph)
         except SimulatorError as exc:
             raise ValidationError(str(exc), index) from exc
         if page is not None:
@@ -180,88 +153,159 @@ def run(
     )
 
 
-def _site_url(site: str, extras: list[tuple[str, str]] | None = None) -> TrackedUrl:
-    return TrackedUrl(origin=site, path="/", query=tuple(extras or ()))
+# -- step actions: a step's params decode into the class named by its action.
+# ``apply`` runs once the clock reads the step's tick; a page event returns
+# its emissions.  Actions, like ``Browser``, compare by identity: generating
+# ``__eq__`` and ``__hash__`` for these eleven classes adds about 5 ms to
+# every import of the package.
 
 
-def _page_event(
-    world: World, step: Step, browser_id: str, url: TrackedUrl, reload: bool = False
-) -> PageEmissions:
-    """A page visit to ``url`` firing the step's event."""
-    event = EventName(step.params.get("event", "PageView"))
-    return on_page_event(world, browser_id, url, event, reload)
+@dataclass(frozen=True, eq=False)
+class Visit:
+    """``browser`` opens ``site``, with ``url_extras`` as the URL's query."""
+
+    browser: str
+    site: str
+    url_extras: tuple[tuple[str, str], ...] = ()
+    event: EventName = EventName.PAGE_VIEW
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> PageEmissions:
+        url = TrackedUrl(self.site, query=self.url_extras)
+        return on_page_event(world, self.browser, url, self.event)
 
 
-def _execute(
-    world: World, feed: PlatformFeed, graph: IdentityGraph, step: Step
-) -> PageEmissions | None:
-    """Carry out one step; a page event returns its emissions."""
-    p = step.params
-    action = step.action
+@dataclass(frozen=True, eq=False)
+class Reload:
+    """``browser`` reloads ``site``."""
 
-    if action == "Visit":
-        extras = [tuple(pair) for pair in p.get("url_extras", [])]
-        return _page_event(world, step, p["browser"], _site_url(p["site"], extras))
+    browser: str
+    site: str
+    event: EventName = EventName.PAGE_VIEW
 
-    if action == "Reload":
-        return _page_event(world, step, p["browser"], _site_url(p["site"]), reload=True)
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> PageEmissions:
+        return on_page_event(world, self.browser, TrackedUrl(self.site), self.event, reload=True)
 
-    if action == "PlatformLoad":
-        world.account(p["account"])
-        feed.refresh_click_ids(p["account"], step.tick)
-        return None
 
-    if action == "PlatformClick":
-        account = p["account"]
-        world.account(account)
-        load = feed.current_loads.get(account)
+@dataclass(frozen=True, eq=False)
+class PlatformLoad:
+    """``account`` loads the platform feed, which hands out fresh click IDs."""
+
+    account: str
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
+        world.account(self.account)
+        feed.refresh_click_ids(self.account, world.clock.now)
+
+
+@dataclass(frozen=True, eq=False)
+class PlatformClick:
+    """A feed link to ``site``, decorated with a click ID, is clicked."""
+
+    account: str
+    site: str
+    browser: str = ""  # empty: the first browser, in spawn order, logged into ``account``
+    element_class: str = "feed-link"
+    event: EventName = EventName.PAGE_VIEW
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> PageEmissions:
+        # Every check comes before decorate_outbound, so a rejected click
+        # adds no ledger entry.
+        world.account(self.account)
+        load = feed.current_loads.get(self.account)
         if load is None:
-            raise ValidationError(f"no platform page load for account {account!r}")
-        browser_id = p.get("browser") or _browser_of(world, account)
+            raise ValidationError(f"no platform page load for account {self.account!r}")
+        browser_id = self.browser or next(
+            (b.browser_id for b in world.browsers.values() if b.logged_in == self.account), None
+        )
+        if browser_id is None:
+            raise ValidationError(f"no browser logged into account {self.account!r}")
         # on_page_event skips the browser lookup where the pixel is off.
         world.browser(browser_id)
-        world.site(p["site"])
-        decorated, _entry = feed.decorate_outbound(
-            load, _site_url(p["site"]), p.get("element_class", "feed-link")
-        )
-        return _page_event(world, step, browser_id, decorated)
-
-    if action == "CreateAccount":
-        world.create_account(p["account"])
-        graph.known_accounts.add(p["account"])
-        world.browser(p["browser"]).logged_in = p["account"]
-        return None
-
-    if action == "Login":
-        world.account(p["account"])
-        world.browser(p["browser"]).logged_in = p["account"]
-        return None
-
-    if action == "DeleteCookie":
-        world.browser(p["browser"]).jar(p["site"]).delete(p["name"])
-        return None
-
-    if action == "AdvanceDays":
-        world.clock.advance(p["days"] * DAY_MS)
-        return None
-
-    if action == "InjectFbclid":
-        url = _site_url(p["site"], [("fbclid", p["value"])])
-        return _page_event(world, step, p["browser"], url)
-
-    if action == "RotateExternalId":
-        world.browser(p["browser"])
-        world.external_ids.rotate(world.site(p["site"]).domain, p["browser"])
-        return None
-
-    raise ValidationError(f"unknown action {action!r}")
+        world.site(self.site)
+        decorated, _entry = feed.decorate_outbound(load, TrackedUrl(self.site), self.element_class)
+        return on_page_event(world, browser_id, decorated, self.event)
 
 
-def _browser_of(world: World, account: str) -> str:
-    for browser_id, browser in world.browsers.items():
-        if browser.logged_in == account:
-            return browser_id
-    raise ValidationError(f"no browser logged into account {account!r}")
+@dataclass(frozen=True, eq=False)
+class CreateAccount:
+    """``account`` is created and logged in on ``browser``."""
+
+    browser: str
+    account: str
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
+        world.create_account(self.account)
+        graph.known_accounts.add(self.account)
+        world.browser(self.browser).logged_in = self.account
+
+
+@dataclass(frozen=True, eq=False)
+class Login:
+    """``browser`` logs into the existing ``account``."""
+
+    browser: str
+    account: str
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
+        world.account(self.account)
+        world.browser(self.browser).logged_in = self.account
+
+
+@dataclass(frozen=True, eq=False)
+class DeleteCookie:
+    """``browser`` deletes its cookie ``name`` for ``site``."""
+
+    browser: str
+    site: str
+    name: str
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
+        world.browser(self.browser).jar(self.site).delete(self.name)
+
+
+@dataclass(frozen=True, eq=False)
+class AdvanceDays:
+    """The clock moves ``days`` days on."""
+
+    days: int
+
+    def __post_init__(self):
+        if self.days < 0:
+            raise ValidationError(f"days must be non-negative, not {self.days!r}")
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
+        world.clock.advance(self.days * DAY_MS)
+
+
+@dataclass(frozen=True, eq=False)
+class InjectFbclid:
+    """``browser`` opens ``site`` with ``value`` as the URL's ``fbclid``."""
+
+    browser: str
+    site: str
+    value: str
+    event: EventName = EventName.PAGE_VIEW
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> PageEmissions:
+        url = TrackedUrl(self.site, query=(("fbclid", self.value),))
+        return on_page_event(world, self.browser, url, self.event)
+
+
+@dataclass(frozen=True, eq=False)
+class RotateExternalId:
+    """``site`` hands ``browser`` a fresh external ID from now on."""
+
+    browser: str
+    site: str
+
+    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
+        world.browser(self.browser)
+        world.external_ids.rotate(world.site(self.site).domain, self.browser)
+
+
+Action = (Visit | Reload | PlatformLoad | PlatformClick | CreateAccount | Login
+          | DeleteCookie | AdvanceDays | InjectFbclid | RotateExternalId)
+_ACTIONS: dict[str, type[Action]] = {cls.__name__: cls for cls in typing.get_args(Action)}
 
 
 # -- scenario file I/O -----------------------------------------------------
@@ -271,7 +315,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return {
         "seed": scenario.seed,
         "consent_mode": scenario.consent_mode.value,
-        "sites": [_site_to_dict(s) for s in scenario.sites],
+        "sites": [_to_json(s) for s in scenario.sites],
         "browsers": scenario.browsers,
         "steps": [
             {"tick": s.tick, "action": s.action, **s.params} for s in scenario.steps
@@ -282,27 +326,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict) or "seed" not in data:
         raise ValidationError("a scenario is an object with a 'seed'")
-    for name in ("steps", "sites", "browsers"):
-        if not isinstance(data.get(name, []), list):
-            raise ValidationError(f"{name} must be a list, not {data[name]!r}")
     steps = []
-    for i, raw in enumerate(data.get("steps", [])):
-        if not isinstance(raw, dict):
-            raise ValidationError(f"a step is an object, not {raw!r}", i)
+    for i, raw in enumerate(_decode(list, data.get("steps", []), "steps")):
+        if not isinstance(raw, dict) or not {"tick", "action"} <= raw.keys():
+            raise ValidationError(f"a step is an object with a tick and an action, not {raw!r}", i)
         params = dict(raw)
-        for name in ("tick", "action"):
-            if name not in params:
-                raise ValidationError(f"step needs {name!r}", i)
         steps.append(Step(tick=params.pop("tick"), action=params.pop("action"), params=params))
-    try:
-        consent_mode = ConsentMode(data.get("consent_mode", "AcceptAll"))
-    except ValueError:
-        raise ValidationError(f"unknown consent_mode {data['consent_mode']!r}") from None
     return Scenario(
-        seed=data["seed"],
-        consent_mode=consent_mode,
-        sites=[_site_from_dict(s) for s in data.get("sites", [])],
-        browsers=data.get("browsers", []),
+        seed=_decode(int, data["seed"], "seed"),
+        consent_mode=_decode(ConsentMode, data.get("consent_mode", "AcceptAll"), "consent_mode"),
+        sites=_decode(list[SiteConfig], data.get("sites", []), "sites"),
+        browsers=_decode(list, data.get("browsers", []), "browsers"),
         steps=steps,
     )
 
@@ -315,11 +349,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _site_to_dict(site: SiteConfig) -> dict:
-    return {f.name: _to_json(getattr(site, f.name)) for f in dataclasses.fields(SiteConfig)}
-
-
 def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, frozenset):
@@ -331,25 +363,51 @@ def _to_json(value):
     return value
 
 
-def _site_from_dict(data: dict) -> SiteConfig:
-    if not isinstance(data, dict):
-        raise ValidationError(f"a site config is an object, not {data!r}")
-    types = typing.get_type_hints(SiteConfig)
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValidationError(f"unknown site config key {unknown[0]!r}")
-    try:
-        return SiteConfig(**{name: _from_json(types[name], v) for name, v in data.items()})
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad site config {data.get('domain')!r}: {exc}") from exc
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _from_json(tp, value):
-    origin = typing.get_origin(tp)
-    if origin in (frozenset, tuple):
-        return origin(_from_json(typing.get_args(tp)[0], v) for v in value)
-    if origin is dict:
-        return {k: _from_json(typing.get_args(tp)[1], v) for k, v in value.items()}
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(value)
-    return value
+def _decode(tp, value, path: str):
+    """``value``, read from JSON, as the type hint ``tp``; errors name ``path``.
+
+    A bool must be a bool, an int an int and not a bool, a str a str.  A
+    ``list[X]``, ``tuple[X, ...]`` or ``frozenset[X]`` is a list, a fixed
+    ``tuple[X, Y]`` a list of two, a ``dict[str, X]`` an object.  An enum is
+    read by value.  A dataclass is an object naming only its fields and each
+    one without a default.
+    """
+    if type(value) is tp:
+        return value
+    if dataclasses.is_dataclass(tp) and type(value) is dict:
+        hints = _type_hints(tp)
+        decoded = value  # copied before the first field value that needs converting
+        for name, item in value.items():
+            hint = hints.get(name)
+            if hint is None:
+                raise ValidationError(f"{path} has unknown field {name!r}")
+            if type(item) is not hint:  # a str, int or bool of its field's type passes as it is
+                if decoded is value:
+                    decoded = dict(value)
+                decoded[name] = _decode(hint, item, f"{path}.{name}")
+        try:
+            return tp(**decoded)
+        except TypeError:  # unknown names were rejected above, so a field is missing
+            missing = [f.name for f in dataclasses.fields(tp) if f.name not in value
+                       and f.default is f.default_factory is dataclasses.MISSING]
+            raise ValidationError(f"{path} needs field {missing[0]!r}") from None
+    if isinstance(tp, EnumMeta):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ValidationError(
+                f"{path} must be one of {[member.value for member in tp]}, not {value!r}"
+            ) from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(value) is list and (origin in (list, frozenset) or args[-1:] == (...,)):
+        return origin(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if type(value) is list and origin is tuple and len(value) == len(args):
+        return tuple(_decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if type(value) is dict and origin is dict:
+        return {_decode(args[0], k, path): _decode(args[1], v, f"{path}[{k!r}]")
+                for k, v in value.items()}
+    expected = "an object" if dataclasses.is_dataclass(tp) else repr(tp) if args else tp.__name__
+    raise ValidationError(f"{path} must be {expected}, not {value!r}")

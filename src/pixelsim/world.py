@@ -151,8 +151,6 @@ class SiteConfig:
     def __post_init__(self):
         if not self.pixel_id:
             self.pixel_id = "px-" + self.domain
-        if isinstance(self.tracked_events, (set, list)):
-            self.tracked_events = frozenset(self.tracked_events)
 
     @property
     def registrable_suffix(self) -> str:

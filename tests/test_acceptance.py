@@ -172,8 +172,9 @@ def test_criterion_3_oracles():
         assert result.graph.resolve() == resolve_oracle(result), f"seed {seed}"
 
         domains = [s.domain for s in result.scenario.sites]
-        for scope in ("unique_first_hop", "total_two_hop"):
-            observed = third_party_distribution(result.emissions, domains, scope)
+        distributions = third_party_distribution(result.emissions, domains)
+        assert distributions.keys() == {"unique_first_hop", "total_two_hop"}
+        for scope, observed in distributions.items():
             assert observed.samples == distribution_oracle(result, scope), (
                 f"seed {seed} scope {scope}"
             )

@@ -1,6 +1,5 @@
 """Metric aggregation: distributions, class tallies, serialization."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from pixelsim.cookies import EventName, EventReport, Fbclid
@@ -103,12 +102,11 @@ class TestDestinationSets:
             page("elsewhere.example", fanout=(("d.example", ()),)),  # not a listed site
         ]
         sites = [site, "empty.example"]
-        unique = third_party_distribution(emissions, sites, "unique_first_hop")
-        assert unique.samples == [0, 2]
-        total = third_party_distribution(emissions, sites, "total_two_hop")
-        assert total.samples == [0, 3]
-        with pytest.raises(ValueError):
-            third_party_distribution(emissions, sites, "bogus")
+        distributions = third_party_distribution(emissions, sites)
+        assert {scope: d.samples for scope, d in distributions.items()} == {
+            "unique_first_hop": [0, 2],
+            "total_two_hop": [0, 3],
+        }
 
 
 class TestSerialization:

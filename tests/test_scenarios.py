@@ -212,6 +212,21 @@ class TestExecution:
         assert result.log
         assert [r.browser_id for r in result.log] == ["b1"] * len(result.log)
 
+    def test_click_without_browser_lands_on_first_logged_in_browser(self):
+        # b2 logs in first, but b1 comes first in spawn order.
+        scenario = simple_scenario(
+            browsers=[{"id": "b1"}, {"id": "b2"}],
+            steps=[
+                Step(1, "CreateAccount", {"browser": "b2", "account": "u1"}),
+                Step(2, "Login", {"browser": "b1", "account": "u1"}),
+                Step(3, "PlatformLoad", {"account": "u1"}),
+                Step(4, "PlatformClick", {"account": "u1", "site": "shop.example"}),
+            ],
+        )
+        result = run(scenario)
+        assert [page.browser_id for page in result.emissions] == ["b1"]
+        assert result.log[0].report.fbc is not None
+
     def test_records_carry_the_site_their_url_names(self):
         # The URL-derived site is the reference the record field replaced.
         for seed in range(200):
@@ -289,13 +304,22 @@ class TestDeterminism:
         assert a.log[0].report.fbp != b.log[0].report.fbp
 
 
+def decoded(scenario: Scenario) -> list:
+    """Each decoded browser and action as its class and field values."""
+    browsers, actions = scenario.validate()
+    return [(type(value), vars(value)) for value in browsers + actions]
+
+
 class TestScenarioFiles:
     def test_dict_round_trip(self):
-        scenario = random_scenario(3)
-        data = scenario_to_dict(scenario)
-        rebuilt = scenario_from_dict(json.loads(json.dumps(data)))
-        assert scenario_to_dict(rebuilt) == data
-        assert run(rebuilt).world.snapshot() == run(scenario).world.snapshot()
+        for seed in range(200):
+            scenario = random_scenario(seed)
+            data = scenario_to_dict(scenario)
+            rebuilt = scenario_from_dict(json.loads(json.dumps(data)))
+            assert scenario_to_dict(rebuilt) == data, f"seed {seed}"
+            # The decoded browsers and actions, not only the dicts, agree.
+            assert decoded(rebuilt) == decoded(scenario), f"seed {seed}"
+            assert run(rebuilt).world.snapshot() == run(scenario).world.snapshot()
 
     def test_site_dict_names_every_field(self):
         data = {
@@ -346,20 +370,32 @@ class TestScenarioFiles:
             (lambda d: d.update(sites=3), None),
             (lambda d: d.update(browsers={"id": "b1"}), None),
             (lambda d: d["sites"].append(3), None),
+            (lambda d: d["sites"][0].update(first_hop_third_parties="xy"), None),
+            (lambda d: d["sites"][0].update(has_pixel="no"), None),
+            (lambda d: d["sites"][0].update(second_hop_forwarding={"a": "bc"}), None),
+            (lambda d: d["browsers"][0].update(incognito="yes"), None),
+            (lambda d: d["browsers"][0].update(user_agent=5), None),
+            (lambda d: d.update(seed="x"), None),
+            (lambda d: d["browsers"].append({"id": "b1"}), None),
+            (lambda d: d["steps"][1].update(action=["Reload"]), 1),
         ],
         ids=[
             "unknown-consent-mode", "no-seed", "no-tick", "no-action",
             "string-tick", "browser-without-id", "step-not-an-object",
             "steps-not-a-list", "sites-not-a-list", "browsers-not-a-list",
-            "site-not-an-object",
+            "site-not-an-object", "third-parties-a-string", "has-pixel-a-string",
+            "forwarding-to-a-string", "incognito-a-string", "user-agent-an-int",
+            "seed-a-string", "browser-listed-twice", "action-not-a-string",
         ],
     )
     def test_malformed_dict_is_a_validation_error(self, spoil, step_index):
         data = json.loads(json.dumps(scenario_to_dict(simple_scenario())))
         spoil(data)
+        ran = []
         with pytest.raises(ValidationError) as excinfo:
-            run(scenario_from_dict(data))
+            run(scenario_from_dict(data), observe=lambda step, world: ran.append(step))
         assert excinfo.value.step_index == step_index
+        assert ran == []
 
     @pytest.mark.parametrize("content", [b'{"seed": 1, ', b'{"seed": 1}\xff'],
                              ids=["truncated", "not-utf8"])
