@@ -36,7 +36,7 @@ class Step:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Browser:
     """A scenario's browser entry."""
 
@@ -112,7 +112,11 @@ def run(
 
     emissions: list[PageEmissions] = []
 
-    for index, (step, action) in enumerate(zip(scenario.steps, actions)):
+    # Popped in step order, so each action is freed once it has run; holding
+    # all of them to the end of the run cost extra full garbage collections.
+    actions.reverse()
+    for index, step in enumerate(scenario.steps):
+        action = actions.pop()
         if step.tick < world.clock.now:
             raise ValidationError("tick precedes current time", index)
         world.clock.advance(step.tick - world.clock.now)
@@ -155,12 +159,12 @@ def run(
 
 # -- step actions: a step's params decode into the class named by its action.
 # ``apply`` runs once the clock reads the step's tick; a page event returns
-# its emissions.  Actions, like ``Browser``, compare by identity: generating
-# ``__eq__`` and ``__hash__`` for these eleven classes adds about 5 ms to
-# every import of the package.
+# its emissions.  Actions, like ``Browser``, compare by identity and keep
+# object's repr: generating ``__eq__``, ``__hash__`` and ``__repr__`` for
+# these eleven classes adds about 7 ms to every import of the package.
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Visit:
     """``browser`` opens ``site``, with ``url_extras`` as the URL's query."""
 
@@ -174,7 +178,7 @@ class Visit:
         return on_page_event(world, self.browser, url, self.event)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Reload:
     """``browser`` reloads ``site``."""
 
@@ -186,7 +190,7 @@ class Reload:
         return on_page_event(world, self.browser, TrackedUrl(self.site), self.event, reload=True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PlatformLoad:
     """``account`` loads the platform feed, which hands out fresh click IDs."""
 
@@ -197,7 +201,7 @@ class PlatformLoad:
         feed.refresh_click_ids(self.account, world.clock.now)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PlatformClick:
     """A feed link to ``site``, decorated with a click ID, is clicked."""
 
@@ -226,7 +230,7 @@ class PlatformClick:
         return on_page_event(world, browser_id, decorated, self.event)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CreateAccount:
     """``account`` is created and logged in on ``browser``."""
 
@@ -239,7 +243,7 @@ class CreateAccount:
         world.browser(self.browser).logged_in = self.account
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Login:
     """``browser`` logs into the existing ``account``."""
 
@@ -251,7 +255,7 @@ class Login:
         world.browser(self.browser).logged_in = self.account
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DeleteCookie:
     """``browser`` deletes its cookie ``name`` for ``site``."""
 
@@ -263,7 +267,7 @@ class DeleteCookie:
         world.browser(self.browser).jar(self.site).delete(self.name)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AdvanceDays:
     """The clock moves ``days`` days on."""
 
@@ -277,7 +281,7 @@ class AdvanceDays:
         world.clock.advance(self.days * DAY_MS)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class InjectFbclid:
     """``browser`` opens ``site`` with ``value`` as the URL's ``fbclid``."""
 
@@ -291,7 +295,7 @@ class InjectFbclid:
         return on_page_event(world, self.browser, url, self.event)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RotateExternalId:
     """``site`` hands ``browser`` a fresh external ID from now on."""
 
@@ -364,6 +368,7 @@ def _to_json(value):
 
 
 _type_hints = functools.cache(typing.get_type_hints)
+_JSON_TYPES = frozenset({bool, int, str, list, dict})
 
 
 def _decode(tp, value, path: str):
@@ -375,7 +380,7 @@ def _decode(tp, value, path: str):
     read by value.  A dataclass is an object naming only its fields and each
     one without a default.
     """
-    if type(value) is tp:
+    if type(value) is tp and tp in _JSON_TYPES:
         return value
     if dataclasses.is_dataclass(tp) and type(value) is dict:
         hints = _type_hints(tp)
@@ -384,7 +389,7 @@ def _decode(tp, value, path: str):
             hint = hints.get(name)
             if hint is None:
                 raise ValidationError(f"{path} has unknown field {name!r}")
-            if type(item) is not hint:  # a str, int or bool of its field's type passes as it is
+            if type(item) is not hint or hint not in _JSON_TYPES:  # else it passes as it is
                 if decoded is value:
                     decoded = dict(value)
                 decoded[name] = _decode(hint, item, f"{path}.{name}")
@@ -394,7 +399,7 @@ def _decode(tp, value, path: str):
             missing = [f.name for f in dataclasses.fields(tp) if f.name not in value
                        and f.default is f.default_factory is dataclasses.MISSING]
             raise ValidationError(f"{path} needs field {missing[0]!r}") from None
-    if isinstance(tp, EnumMeta):
+    if isinstance(tp, EnumMeta) and type(value) is not tp:  # a member is not a JSON value
         try:
             return tp(value)
         except ValueError:

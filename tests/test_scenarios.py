@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pixelsim.cookies import TrackedUrl
+from pixelsim.cookies import EventName, TrackedUrl
 from pixelsim.errors import ValidationError
 from pixelsim.pixel import FBP_NAME
 from pixelsim.scenarios import (
@@ -69,6 +69,7 @@ class TestValidation:
             ("PlatformClick", {"account": "u1", "site": "shop.example", "element_class": None}),
             ("DeleteCookie", {"browser": "b1", "site": "shop.example", "name": {"_fbp": 1}}),
             ("InjectFbclid", {"browser": "b1", "site": "shop.example", "value": 12}),
+            ("Reload", {"browser": "b1", "site": "shop.example", "event": EventName.PURCHASE}),
         ],
     )
     def test_bad_step_rejected_before_any_step_runs(self, action, params):
