@@ -127,18 +127,15 @@ def parse_cmd(kind, value):
     """Parse a cookie or URL and print its structure as JSON."""
     try:
         if kind == "fbp":
-            cookie = parse_fbp(value)
-            data = dataclasses.asdict(cookie)
+            data = dataclasses.asdict(parse_fbp(value))
         elif kind == "fbc":
             cookie = parse_fbc(value)
-            data = {
-                "version": cookie.version,
-                "subdomain_index": cookie.subdomain_index,
-                "creation_time": cookie.creation_time,
-                "fbclid": cookie.fbclid.value,
-                "fbclid_canonical": cookie.fbclid.canonical,
-                "serialized": serialize_fbc(cookie),
-            }
+            data = dataclasses.asdict(cookie)
+            data.update(
+                fbclid=cookie.fbclid.value,
+                fbclid_canonical=cookie.fbclid.canonical,
+                serialized=serialize_fbc(cookie),
+            )
         else:
             url = TrackedUrl.parse(value)
             data = {

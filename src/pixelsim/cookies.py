@@ -256,7 +256,7 @@ def encode_report(r: EventReport) -> str:
 
 def decode_report(s: str) -> EventReport:
     url = TrackedUrl.parse(s)
-    fields = dict(url.query)
+    fields = dict(reversed(url.query))  # a repeated key reads as its first value
     for required in ("id", "ev", "ts"):
         if required not in fields:
             raise MalformedReport(f"missing {required}: {s!r}")

@@ -7,8 +7,6 @@ class SimulatorError(Exception):
 
 class MalformedCookie(SimulatorError):
     def __init__(self, reason: str, raw: str = ""):
-        self.reason = reason
-        self.raw = raw
         super().__init__(f"malformed cookie ({reason}): {raw!r}")
 
 

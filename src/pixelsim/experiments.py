@@ -33,13 +33,6 @@ CLOSURE_NOTE = (
     "validates the simulator, not live-web measurements"
 )
 
-REPORTING_CLASS_ORDER = [
-    ReportingClass.BOTH,
-    ReportingClass.FBP_ONLY_WITH_FBCLID,
-    ReportingClass.FBP_ONLY,
-    ReportingClass.SILENT,
-]
-
 EXPIRATION_POLICY_ORDER = [
     ExpirationPolicy.EVERY_EVENT,
     ExpirationPolicy.BLOCKED,
@@ -50,7 +43,7 @@ EXPIRATION_POLICY_ORDER = [
 ]
 
 # The paper's populations.  An experiment given no fraction uses these.
-PROFILING_FRACTIONS = (0.923, 0.015, 0.039, 0.023)  # REPORTING_CLASS_ORDER
+PROFILING_FRACTIONS = (0.923, 0.015, 0.039, 0.023)  # in ReportingClass order
 EXPIRATION_FRACTIONS = (  # EXPIRATION_POLICY_ORDER
     1942 / 2308, 172 / 2308, 115 / 2308, 57 / 2308, 17 / 2308, 5 / 2308,
 )
@@ -73,6 +66,22 @@ def allocate_counts(total: int, fractions: list[float]) -> list[int]:
     for i in remainders[:leftover]:
         counts[i] += 1
     return counts
+
+
+def _population(n_sites: int, order, counts: list[int] | None, fractions: list[float] | None,
+                paper_fractions: tuple[float, ...]) -> tuple[list, dict[str, int]]:
+    """Each site's class, in ``order``, and the ``configured_*`` and ``sites_total`` counters.
+
+    ``counts`` gives the number of sites per class; without it, the
+    ``fractions`` (the paper's when not given) are allocated over the sites.
+    """
+    if counts is None:
+        counts = allocate_counts(n_sites, fractions or paper_fractions)
+    if sum(counts) != n_sites:
+        raise ValueError("class counts do not sum to site total")
+    classes = [c for count, c in zip(counts, order, strict=True) for _ in range(count)]
+    counters = {f"configured_{c.value}": count for count, c in zip(counts, order)}
+    return classes, {**counters, "sites_total": n_sites}
 
 
 def _domains(n: int) -> list[str]:
@@ -106,17 +115,10 @@ def experiment_profiling(
     class_counts: list[int] | None = None,
 ) -> tuple[MetricsReport, RunResult]:
     """Visit every site plain (S1, S2), then with a click ID (S4)."""
-    if class_counts is None:
-        class_counts = allocate_counts(n_sites, class_fractions or PROFILING_FRACTIONS)
-    if sum(class_counts) != n_sites:
-        raise ValueError("class counts do not sum to site total")
-
+    classes, configured = _population(
+        n_sites, ReportingClass, class_counts, class_fractions, PROFILING_FRACTIONS
+    )
     domains = _domains(n_sites)
-    classes = [
-        rc
-        for count, rc in zip(class_counts, REPORTING_CLASS_ORDER, strict=True)
-        for _ in range(count)
-    ]
     sites = [
         # The plain-only class is observed on sites that strip URL
         # parameters before the pixel sees them.
@@ -139,9 +141,7 @@ def experiment_profiling(
     observed = tally_classes(result.emissions, domains)
     report = result.report
     report.classes = observed
-    for count, rc in zip(class_counts, REPORTING_CLASS_ORDER):
-        report.counters[f"configured_{rc.value}"] = count
-    report.counters["sites_total"] = n_sites
+    report.counters.update(configured)
     report.counters["sites_reporting_plain_visit"] = (
         observed["Both"] + observed["FbpOnly"]
     )
@@ -168,17 +168,10 @@ def experiment_expiration(
     policy_counts: list[int] | None = None,
 ) -> tuple[MetricsReport, RunResult]:
     """Visit, reload, then visit with a click ID; classify expiry updates."""
-    if policy_counts is None:
-        policy_counts = allocate_counts(n_sites, policy_fractions or EXPIRATION_FRACTIONS)
-    if sum(policy_counts) != n_sites:
-        raise ValueError("policy counts do not sum to site total")
-
+    policies, configured = _population(
+        n_sites, EXPIRATION_POLICY_ORDER, policy_counts, policy_fractions, EXPIRATION_FRACTIONS
+    )
     domains = _domains(n_sites)
-    policies = [
-        policy
-        for count, policy in zip(policy_counts, EXPIRATION_POLICY_ORDER, strict=True)
-        for _ in range(count)
-    ]
     policy_of = dict(zip(domains, policies))
     sites = [SiteConfig(domain=d, expiration_policy=p) for d, p in policy_of.items()]
 
@@ -216,9 +209,7 @@ def experiment_expiration(
 
     report = result.report
     report.classes = tallies
-    for count, policy in zip(policy_counts, EXPIRATION_POLICY_ORDER):
-        report.counters[f"configured_{policy.value}"] = count
-    report.counters["sites_total"] = n_sites
+    report.counters.update(configured)
     report.counters["gap_days_s1_s2"] = gap_days
     report.counters["gap_days_s2_s3"] = gap_days
     report.counters["creation_law_violations"] = creation_violations
@@ -379,26 +370,29 @@ def experiment_external_id(
 # -- click-ID third-party propagation --------------------------------------
 
 
-def default_fanout_counts(
-    n: int, zero_fraction: float = 0.224, median_target: int = 6, max_count: int = 31
-) -> list[int]:
-    """A deterministic heavy-tail fan-out profile hitting the target shape."""
-    zeros = round(n * zero_fraction)
+# The paper's hop-1 fan-out shape: 22.4% of sites inform no third party,
+# the median site informs 6 and the busiest 31.
+FANOUT_ZERO_FRACTION = 0.224
+FANOUT_MEDIAN = 6
+FANOUT_MAX = 31
+
+
+def default_fanout_counts(n: int) -> list[int]:
+    """A deterministic heavy-tail fan-out profile with the paper's shape."""
+    zeros = round(n * FANOUT_ZERO_FRACTION)
     nonzero = n - zeros
     counts = [0] * zeros
     half = n // 2
     lower = max(half - zeros + 1, 1)  # entries at or below the median slot
     upper = nonzero - lower
     for k in range(lower):
-        counts.append(1 + round((median_target - 1) * k / max(lower - 1, 1)))
+        counts.append(1 + round((FANOUT_MEDIAN - 1) * k / max(lower - 1, 1)))
     for k in range(upper):
         counts.append(
-            median_target
-            + 1
-            + round((max_count - median_target - 2) * k / max(upper - 1, 1))
+            FANOUT_MEDIAN + 1 + round((FANOUT_MAX - FANOUT_MEDIAN - 2) * k / max(upper - 1, 1))
         )
     if upper > 0:
-        counts[-1] = max_count
+        counts[-1] = FANOUT_MAX
     return counts
 
 
@@ -543,11 +537,9 @@ def experiment_consent(
             )
         )
         results[mode.value] = result
-        stored = sum(
-            1
-            for domain in domains
-            if result.world.browser("crawler").jar(domain).entries.get(FBP_NAME)
-        )
+        # Read without BrowserProfile.jar, which would create empty jars.
+        jars = result.world.browser("crawler").jars
+        stored = sum(1 for d in domains if d in jars and FBP_NAME in jars[d].entries)
         report.counters[f"stored_{mode.value}"] = stored
     report.counters.update(
         {

@@ -20,7 +20,6 @@ from .cookies import (
     FbpCookie,
     TrackedUrl,
     extract_fbclid,
-    parse_fbp,
     serialize_fbc,
     serialize_fbp,
     subdomain_index,
@@ -91,34 +90,31 @@ def _consent_blocks(world: World, site: SiteConfig) -> bool:
     return False
 
 
-def external_id_for(world: World, site: SiteConfig, browser_id: str) -> str | None:
-    if not site.shares_external_id:
-        return None
-    return world.external_ids.get(site, browser_id)
+def _mint_fbp(world: World, jar: CookieJar, idx: int) -> None:
+    """Write a fresh browser-ID cookie, drawing its random number."""
+    now = world.clock.now
+    cookie = FbpCookie(
+        subdomain_index=idx, creation_time=now, random_number=world.next_random_number()
+    )
+    jar.write(FBP_NAME, serialize_fbp(cookie), now, now + COOKIE_LIFETIME_MS)
 
 
-def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar,
+def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar, idx: int,
                             clicked: bool, reload: bool) -> None:
     """Renew (or rotate) the browser-ID cookie according to site policy.
 
     A visit whose click ID reaches the pixel counts as a click visit, even
-    when it is also a reload.
+    when it is also a reload.  ``idx`` is the site's subdomain index.
     """
     policy = site.expiration_policy
     if (policy is ExpirationPolicy.NEVER
             or (policy is ExpirationPolicy.ONLY_FBCLID and not clicked)
             or (policy is ExpirationPolicy.ONLY_RELOAD and (clicked or not reload))):
         return
-    now = world.clock.now
     if policy is ExpirationPolicy.ROTATE_VALUE:
-        cookie = FbpCookie(
-            subdomain_index=parse_fbp(jar.read(FBP_NAME, now)).subdomain_index,
-            creation_time=now,
-            random_number=world.next_random_number(),
-        )
-        jar.write(FBP_NAME, serialize_fbp(cookie), now, now + COOKIE_LIFETIME_MS)
-        return
-    jar.touch(FBP_NAME, now + COOKIE_LIFETIME_MS)
+        _mint_fbp(world, jar, idx)
+    else:
+        jar.touch(FBP_NAME, world.clock.now + COOKIE_LIFETIME_MS)
 
 
 def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventName,
@@ -133,11 +129,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
     idx = subdomain_index(site.domain, site.registrable_suffix)
 
     if jar.read(FBP_NAME, now) is None:
-        cookie = FbpCookie(
-            subdomain_index=idx, creation_time=now,
-            random_number=world.next_random_number(),
-        )
-        jar.write(FBP_NAME, serialize_fbp(cookie), now, now + COOKIE_LIFETIME_MS)
+        _mint_fbp(world, jar, idx)
 
     # A stripping site removes the parameter before the pixel ever sees it,
     # so no _fbc is written, nothing falls back to a bare parameter, third
@@ -147,7 +139,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
         fbc = FbcCookie(subdomain_index=idx, creation_time=now, fbclid=fbclid)
         jar.write(FBC_NAME, serialize_fbc(fbc), now, now + COOKIE_LIFETIME_MS)
 
-    apply_expiration_policy(world, site, jar, fbclid is not None, reload)
+    apply_expiration_policy(world, site, jar, idx, fbclid is not None, reload)
 
     fbp_value = jar.read(FBP_NAME, now)
     page_url = url.serialize()
@@ -168,7 +160,8 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
             fbp=fbp_value,
             fbc=fbc_value if include_fbc else None,
             fbclid_param=bare,
-            external_id=external_id_for(world, site, browser_id),
+            external_id=(world.external_ids.get(site, browser_id)
+                         if site.shares_external_id else None),
         )
 
     if not site.first_hop_third_parties:

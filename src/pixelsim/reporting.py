@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import statistics
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 from .pixel import PageEmissions
-from .world import TRACKER_DOMAIN
+from .world import TRACKER_DOMAIN, ReportingClass
 
 
 @dataclass
@@ -32,11 +33,7 @@ class Distribution:
 
     @property
     def median(self) -> float:
-        n = len(self.samples)
-        mid = n // 2
-        if n % 2 == 1:
-            return self.samples[mid]
-        return (self.samples[mid - 1] + self.samples[mid]) / 2
+        return statistics.median(self.samples)
 
     def cdf_points(self) -> list[tuple[float, float]]:
         """(x, cdf(x)) for each distinct sample value, ascending."""
@@ -87,16 +84,17 @@ def tally_classes(emissions: list[PageEmissions], sites: list[str]) -> dict[str,
             clicked.add(page.site)
         else:
             plain.add(page.site)
-    tallies = {"Both": 0, "FbpOnlyWithFbclid": 0, "FbpOnly": 0, "Silent": 0}
+    tallies = {rc.value: 0 for rc in ReportingClass}
     for site in sites:
         if site in clicked and site in plain:
-            tallies["Both"] += 1
+            rc = ReportingClass.BOTH
         elif site in clicked:
-            tallies["FbpOnlyWithFbclid"] += 1
+            rc = ReportingClass.FBP_ONLY_WITH_FBCLID
         elif site in plain:
-            tallies["FbpOnly"] += 1
+            rc = ReportingClass.FBP_ONLY
         else:
-            tallies["Silent"] += 1
+            rc = ReportingClass.SILENT
+        tallies[rc.value] += 1
     return tallies
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cookies import EventReport, TrackedUrl, parse_fbc, parse_fbp
 from .errors import MalformedCookie, MalformedReport, UnknownAccount
@@ -20,27 +21,22 @@ from .social import PlatformFeed
 ProfileKey = tuple[str, str]  # (site domain, serialized _fbp value)
 
 
-@dataclass
-class Activity:
+class Activity(NamedTuple):
+    """One report on a profile's timeline; the fields are in sort order."""
+
     timestamp: int
+    site: str
     event: str
     page_url: str
-    site: str
-
-    def as_tuple(self) -> tuple:
-        return (self.timestamp, self.site, self.event, self.page_url)
 
 
 @dataclass(eq=False)  # compared and hashed by identity
 class PseudonymProfile:
-    keys: set[ProfileKey] = field(default_factory=set)
+    keys: set[ProfileKey]
+    min_key: ProfileKey  # the smallest of ``keys``
     activity: list[Activity] = field(default_factory=list)
     linked_account: str | None = None
     external_ids: set[str] = field(default_factory=set)
-    min_key: ProfileKey | None = field(init=False)  # the smallest of ``keys``
-
-    def __post_init__(self):
-        self.min_key = min(self.keys, default=None)
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,6 @@ class Anomaly:
 
 @dataclass
 class IngestOutcome:
-    site: str
     profile_key: ProfileKey | None = None
     linked_account: str | None = None
     merged: bool = False
@@ -102,8 +97,8 @@ class IdentityGraph:
             # ``a``'s activities up to ``b``'s first stay put (usually all
             # of them); one stable merge pass interleaves the rest, so on
             # equal keys ``a``'s come first, as with insort.
-            start = bisect_right(a.activity, b.activity[0].as_tuple(), key=Activity.as_tuple)
-            a.activity[start:] = heapq.merge(a.activity[start:], b.activity, key=Activity.as_tuple)
+            start = bisect_right(a.activity, b.activity[0])
+            a.activity[start:] = heapq.merge(a.activity[start:], b.activity)
         a.external_ids |= b.external_ids
         if a.linked_account is None:
             a.linked_account = b.linked_account
@@ -120,7 +115,7 @@ class IdentityGraph:
 
     def ingest(self, report: EventReport) -> IngestOutcome:
         site = TrackedUrl.parse(report.page_url).origin
-        outcome = IngestOutcome(site=site)
+        outcome = IngestOutcome()
 
         if not report.has_identifier():
             self.orphans.append(report)
@@ -137,17 +132,9 @@ class IdentityGraph:
         if key is not None:
             profile = self._by_key.get(key)
             if profile is None:
-                profile = self._by_key[key] = PseudonymProfile(keys={key})
-            insort(
-                profile.activity,
-                Activity(
-                    timestamp=report.timestamp,
-                    event=report.event.value,
-                    page_url=report.page_url,
-                    site=site,
-                ),
-                key=Activity.as_tuple,
-            )
+                profile = self._by_key[key] = PseudonymProfile(keys={key}, min_key=key)
+            activity = Activity(report.timestamp, site, report.event.value, report.page_url)
+            insort(profile.activity, activity)
             outcome.profile_key = key
 
         if report.external_id is not None:
@@ -238,7 +225,7 @@ class IdentityGraph:
         for profile in self.profiles():
             if profile.linked_account == account_id:
                 merged.extend(profile.activity)
-        merged.sort(key=Activity.as_tuple)
+        merged.sort()
         return merged
 
     def dump(self) -> dict:
@@ -249,7 +236,7 @@ class IdentityGraph:
                     "keys": sorted(f"{s}|{v}" for s, v in p.keys),
                     "linked_account": p.linked_account,
                     "external_ids": sorted(p.external_ids),
-                    "activity": [a.as_tuple() for a in p.activity],
+                    "activity": list(p.activity),
                 }
                 for p in sorted(self.profiles(), key=lambda p: p.min_key)
             ],

@@ -197,7 +197,6 @@ class World:
     """All mutable state of one simulation run."""
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self.rng = random.Random(seed)
         self.clock = SimClock()
         self.browsers: dict[str, BrowserProfile] = {}
@@ -271,15 +270,9 @@ class World:
                     "incognito": b.incognito,
                     "user_agent": b.user_agent,
                     "logged_in": b.logged_in,
+                    # vars, not asdict, which deep-copies each value: 30 times slower.
                     "jars": {
-                        domain: {
-                            name: {
-                                "value": e.value,
-                                "created": e.created,
-                                "expires": e.expires,
-                            }
-                            for name, e in sorted(jar.entries.items())
-                        }
+                        domain: {name: dict(vars(e)) for name, e in sorted(jar.entries.items())}
                         for domain, jar in sorted(b.jars.items())
                     },
                 }

@@ -246,6 +246,10 @@ class TestReportCodec:
         with pytest.raises(MalformedReport):
             decode_report(wire)
 
+    def test_decode_reads_a_repeated_key_as_its_first_value(self):
+        wire = "https://tracker.example/tr?id=px&ev=PageView&fbp=fb.1.0.1&fbp=fb.1.0.2&ts=1"
+        assert decode_report(wire).fbp == "fb.1.0.1" == TrackedUrl.parse(wire).get("fbp")
+
     def test_decode_rejects_unknown_event(self):
         wire = encode_report(self._report()).replace("ev=PageView", "ev=NotAnEvent")
         with pytest.raises(MalformedReport):

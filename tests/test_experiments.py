@@ -165,6 +165,13 @@ class TestConsent:
         assert report.counters["stored_RejectAll"] == 10
         assert report.counters["stored_NoAction"] == 8
 
+    def test_counting_creates_no_empty_jars(self):
+        report, results = experiment_consent(20, seed=1)
+        for mode, result in results.items():
+            jars = result.world.browser("crawler").jars
+            assert all(jar.entries for jar in jars.values()), mode
+            assert len(jars) == report.counters[f"stored_{mode}"]
+
 
 class TestFourDay:
     def test_links_and_history(self):

@@ -1,5 +1,8 @@
 """Identity graph: profiles, ledger joins, external-ID merges, anomalies."""
 
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -252,6 +255,36 @@ class TestQueries:
         )
         assert [a.timestamp for a in graph.account_history("u1")] == [3, 5]
 
+    def test_equal_timestamps_order_by_site_then_event_then_url(self):
+        other = "other.example"
+        feed = PlatformFeed(seed=3)
+        load = feed.refresh_click_ids("u1", tick=0)
+        clid = {}
+        for site in (SITE, other):
+            _, entry = feed.decorate_outbound(load, TrackedUrl.parse(f"https://{site}/"), "a")
+            clid[site] = entry.fbclid.value
+        graph = IdentityGraph(click_ledger=feed)
+        graph.known_accounts.add("u1")
+        graph.ingest(make_report(5, fbp="fb.1.0.1", clid=clid[SITE]))
+        base = make_report(5, fbp="fb.1.0.2", clid=clid[other], site=other)
+        for event, path in ((EventName.PAGE_VIEW, ""), (EventName.ADD_TO_CART, "z"),
+                            (EventName.ADD_TO_CART, "a")):
+            graph.ingest(replace(base, event=event, page_url=f"https://{other}/{path}"))
+
+        expected = [
+            (5, other, "AddToCart", f"https://{other}/a"),
+            (5, other, "AddToCart", f"https://{other}/z"),
+            (5, other, "PageView", f"https://{other}/"),
+            (5, SITE, "PageView", f"https://{SITE}/"),
+        ]
+        assert graph.account_history("u1") == expected
+        dumped = graph.dump()["profiles"]
+        assert dumped[0]["activity"] is not graph.profile((other, "fb.1.0.2")).activity
+        assert [p["activity"] for p in json.loads(json.dumps(dumped))] == [
+            [list(a) for a in expected[:3]],
+            [list(expected[3])],
+        ]
+
     def test_dump_is_deterministic(self):
         def build():
             graph = IdentityGraph()
@@ -292,14 +325,14 @@ class TestInvariants:
             outcome = graph.ingest(make_report(ts, fbp=fbp, ext=ext, clid=clid, site=site))
             if fbp is not None and not outcome.duplicate:
                 received.setdefault((site, fbp), []).append(
-                    Activity(ts, EventName.PAGE_VIEW.value, f"https://{site}/", site)
+                    Activity(ts, site, EventName.PAGE_VIEW.value, f"https://{site}/")
                 )
 
         live = graph.profiles()
         assert len(set(live)) == len(live)  # no profile listed twice
         for profile in live:
             got = [a for key in profile.keys for a in received[key]]
-            assert profile.activity == sorted(got, key=Activity.as_tuple)
+            assert profile.activity == sorted(got)
             assert profile.min_key == min(profile.keys)
         for key in received:
             assert [p for p in live if key in p.keys] == [graph.profile(key)]
