@@ -102,10 +102,13 @@ def _split_cookie(s: str) -> list[str]:
 
 
 def _decimal(segment: str, raw: str) -> int:
-    # int() would tolerate "+1", "_", whitespace; the grammar does not.
-    if not segment or not all(c in string.digits for c in segment):
+    # int() would tolerate "+1", "_", whitespace, non-ASCII digits; the grammar does not.
+    if not (segment.isascii() and segment.isdigit()):
         raise MalformedCookie("non-numeric segment", raw)
-    return int(segment)
+    try:
+        return int(segment)
+    except ValueError:  # more digits than int() converts
+        raise MalformedCookie("over-long segment", raw) from None
 
 
 def parse_fbp(s: str) -> FbpCookie:
@@ -222,7 +225,7 @@ class EventReport:
 
     pixel_id: str
     event: EventName
-    page_url: str
+    page_url: TrackedUrl  # the page the pixel ran on
     timestamp: int  # ms
     destination: str
     fbp: str | None = None  # serialized FbpCookie
@@ -249,7 +252,7 @@ def encode_report(r: EventReport) -> str:
         pairs.append(("fbclid", r.fbclid_param.value))
     if r.external_id is not None:
         pairs.append((EXTERNAL_ID_KEY, r.external_id))
-    pairs.append(("dl", r.page_url))
+    pairs.append(("dl", r.page_url.serialize()))
     pairs.append(("ts", str(r.timestamp)))
     return TrackedUrl(origin=r.destination, path="/tr", query=tuple(pairs)).serialize()
 
@@ -265,18 +268,14 @@ def decode_report(s: str) -> EventReport:
     except ValueError:
         raise MalformedReport(f"unknown event {fields['ev']!r}") from None
     try:
-        ts = int(fields["ts"])
-    except ValueError:
-        raise MalformedReport(f"bad timestamp {fields['ts']!r}") from None
-    fbclid = fields.get("fbclid")
-    try:
-        fbclid_param = Fbclid(fbclid) if fbclid else None
+        ts = _decimal(fields["ts"], s)
+        fbclid_param = Fbclid(fields["fbclid"]) if fields.get("fbclid") else None
     except MalformedCookie as exc:
         raise MalformedReport(str(exc)) from exc
     report = EventReport(
         pixel_id=fields["id"],
         event=event,
-        page_url=fields.get("dl", ""),
+        page_url=TrackedUrl.parse(fields.get("dl", "")),
         timestamp=ts,
         destination=url.origin,
         fbp=fields.get("fbp"),
@@ -284,6 +283,8 @@ def decode_report(s: str) -> EventReport:
         fbclid_param=fbclid_param,
         external_id=fields.get(EXTERNAL_ID_KEY),
     )
+    if not report.page_url.origin:  # the tracker keys every profile by this site
+        raise MalformedReport(f"report names no page: {s!r}")
     if not report.has_identifier():
         raise MalformedReport(f"report carries no identifier: {s!r}")
     return report

@@ -142,7 +142,6 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
     apply_expiration_policy(world, site, jar, idx, fbclid is not None, reload)
 
     fbp_value = jar.read(FBP_NAME, now)
-    page_url = url.serialize()
 
     report = None
     if event in site.tracked_events and _reporting_permits(site, fbclid):
@@ -154,7 +153,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
         report = EventReport(
             pixel_id=site.pixel_id,
             event=event,
-            page_url=page_url,
+            page_url=url,
             timestamp=now,
             destination=TRACKER_DOMAIN,
             fbp=fbp_value,
@@ -171,7 +170,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
     forwarded = EventReport(
         pixel_id=site.pixel_id,
         event=event,
-        page_url=page_url,
+        page_url=url,
         timestamp=now,
         destination="",
         fbp=fbp_value,

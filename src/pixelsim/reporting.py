@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from .pixel import PageEmissions
@@ -56,7 +56,7 @@ class MetricsReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def distribution_csv(self, name: str) -> str:
         out = io.StringIO()

@@ -14,7 +14,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cookies import EventReport, TrackedUrl, parse_fbc, parse_fbp
+from .cookies import EventReport, parse_fbc, parse_fbp
 from .errors import MalformedCookie, MalformedReport, UnknownAccount
 from .social import PlatformFeed
 
@@ -114,7 +114,7 @@ class IdentityGraph:
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, report: EventReport) -> IngestOutcome:
-        site = TrackedUrl.parse(report.page_url).origin
+        site = report.page_url.origin
         outcome = IngestOutcome()
 
         if not report.has_identifier():
@@ -133,11 +133,11 @@ class IdentityGraph:
             profile = self._by_key.get(key)
             if profile is None:
                 profile = self._by_key[key] = PseudonymProfile(keys={key}, min_key=key)
-            activity = Activity(report.timestamp, site, report.event.value, report.page_url)
-            insort(profile.activity, activity)
+            url = report.page_url.serialize()
+            insort(profile.activity, Activity(report.timestamp, site, report.event.value, url))
             outcome.profile_key = key
 
-        if report.external_id is not None:
+        if report.external_id:  # an empty ID is absent, as in has_identifier
             profile, outcome.merged = self._bind_external_id(site, report.external_id, profile)
 
         if fbclid_value is not None and profile is not None:

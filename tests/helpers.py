@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from pixelsim.cookies import CLICK_ID_ALPHABET, EventReport, TrackedUrl, extract_fbclid
+from pixelsim.cookies import CLICK_ID_ALPHABET, EventReport, extract_fbclid
 from pixelsim.pixel import EmissionRecord
 from pixelsim.scenarios import RunResult, Scenario, Step
 from pixelsim.world import (
@@ -153,7 +153,7 @@ def resolve_oracle(result: RunResult) -> list[tuple[tuple[str, str], str]]:
         if record.hop != 0:
             continue
         r = record.report
-        site = TrackedUrl.parse(r.page_url).origin
+        site = r.page_url.origin
         p = find(site, r.fbp) if r.fbp else None
         if r.external_id is not None:
             ek = (site, r.external_id)
@@ -198,7 +198,7 @@ def distribution_oracle(result: RunResult, scope: str) -> list[int]:
     emitted: set[str] = set()
     for record in result.log:
         if record.hop in (1, 2):
-            emitted.add(TrackedUrl.parse(record.report.page_url).origin)
+            emitted.add(record.report.page_url.origin)
     samples = []
     for site in result.scenario.sites:
         if site.domain not in emitted:
@@ -257,7 +257,7 @@ def forwarding_reference(result: RunResult) -> list[EmissionRecord]:
         shared = page.forwarded
         fbclid = None
         if not site.strips_fbclid:
-            fbclid = extract_fbclid(TrackedUrl.parse(shared.page_url))
+            fbclid = extract_fbclid(shared.page_url)
 
         def record(destination, hop):
             report = EventReport(

@@ -113,7 +113,9 @@ def test_criterion_1_codecs():
         report = EventReport(
             pixel_id=f"px-{rng.randrange(100)}",
             event=rng.choice(events),
-            page_url=f"https://s{rng.randrange(50)}.example/p?x={rng.randrange(9)}",
+            page_url=TrackedUrl.parse(
+                f"https://s{rng.randrange(50)}.example/p?x={rng.randrange(9)}"
+            ),
             timestamp=rng.randrange(0, 10**13),
             destination="tracker.example",
             fbp=f"fb.1.{rng.randrange(10**12)}.{rng.randrange(10**10)}",
@@ -131,7 +133,7 @@ def test_criterion_1_codecs():
         EventReport(
             pixel_id="px",
             event=EventName.PAGE_VIEW,
-            page_url="https://a.example/",
+            page_url=TrackedUrl.parse("https://a.example/"),
             timestamp=0,
             destination="tracker.example",
             external_id="8d16a0dcb109e26121cacb648c5f40e7",

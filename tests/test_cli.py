@@ -40,6 +40,11 @@ class TestParse:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_over_long_segment_is_an_error_line(self):
+        result = invoke("parse", "fbp", "fb.1.0." + "9" * 5000)
+        assert result.exit_code == 1
+        assert "error: malformed cookie (over-long segment)" in result.output
+
 
 class TestRun:
     def test_run_writes_outputs(self, tmp_path):

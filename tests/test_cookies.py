@@ -54,9 +54,19 @@ class TestFbpCodec:
                 parse_fbp(raw)
 
     def test_non_numeric_segments(self):
-        for raw in ("fb.a.2.3", "fb.1.2.x", "fb.1..3", "fb.+1.2.3", "fb.1.2.3 "):
+        for raw in ("fb.a.2.3", "fb.1.2.x", "fb.1..3", "fb.+1.2.3", "fb.1.2.3 ", "fb.1.2.３",
+                    "fb.1.2.²"):
             with pytest.raises(MalformedCookie):
                 parse_fbp(raw)
+
+    def test_over_long_segment_is_malformed(self):
+        # More digits than int() converts (4300 by default) is not a ValueError.
+        digits = "9" * 5000
+        for raw in (f"fb.1.0.{digits}", f"fb.{digits}.0.1"):
+            with pytest.raises(MalformedCookie):
+                parse_fbp(raw)
+        with pytest.raises(MalformedCookie):
+            parse_fbc(f"fb.1.{digits}.Click")
 
     @given(
         st.integers(min_value=0, max_value=10),
@@ -200,7 +210,7 @@ class TestReportCodec:
         base = dict(
             pixel_id="px-shop.example",
             event=EventName.PAGE_VIEW,
-            page_url="https://shop.example/p?a=1",
+            page_url=TrackedUrl.parse("https://shop.example/p?a=1"),
             timestamp=1234,
             destination="tracker.example",
             fbp="fb.1.1000.42",
@@ -247,13 +257,44 @@ class TestReportCodec:
             decode_report(wire)
 
     def test_decode_reads_a_repeated_key_as_its_first_value(self):
-        wire = "https://tracker.example/tr?id=px&ev=PageView&fbp=fb.1.0.1&fbp=fb.1.0.2&ts=1"
+        wire = (
+            "https://tracker.example/tr?id=px&ev=PageView&fbp=fb.1.0.1&fbp=fb.1.0.2"
+            "&dl=https%3A%2F%2Fshop.example%2F&ts=1"
+        )
         assert decode_report(wire).fbp == "fb.1.0.1" == TrackedUrl.parse(wire).get("fbp")
 
     def test_decode_rejects_unknown_event(self):
         wire = encode_report(self._report()).replace("ev=PageView", "ev=NotAnEvent")
         with pytest.raises(MalformedReport):
             decode_report(wire)
+
+    @pytest.mark.parametrize(
+        "ts",
+        ["%2B1_000", "%201", "%EF%BC%91", "-5", "", "9" * 5000],
+        ids=["sign-underscore", "space", "fullwidth", "minus", "empty", "over-long"],
+    )
+    def test_decode_reads_the_timestamp_by_the_cookie_digit_grammar(self, ts):
+        # "+1_000", " 1", a fullwidth digit and "-5" all pass int().
+        wire = encode_report(self._report()).replace("ts=1234", f"ts={ts}")
+        with pytest.raises(MalformedReport):
+            decode_report(wire)
+
+    @pytest.mark.parametrize("dl", [None, "", "%2Fp", "https%3A%2F%2F"])
+    def test_decode_rejects_a_report_without_a_page(self, dl):
+        # The tracker keys every profile by the page's site.
+        wire = "https://tracker.example/tr?id=px&ev=PageView&fbp=fb.1.0.1&ts=1"
+        if dl is not None:
+            wire += f"&dl={dl}"
+        with pytest.raises(MalformedReport):
+            decode_report(wire)
+
+    def test_decoded_page_url_is_the_parsed_page(self):
+        report = decode_report(encode_report(self._report()))
+        assert report.page_url == TrackedUrl("shop.example", "/p", (("a", "1"),))
+        # Spellings of one page decode to the same value.
+        http = encode_report(self._report()).replace("https%3A", "http%3A")
+        assert "http%3A%2F%2Fshop" in http
+        assert decode_report(http) == report
 
     def test_decode_rejects_bad_timestamp(self):
         wire = encode_report(self._report()).replace("ts=1234", "ts=soon")

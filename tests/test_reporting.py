@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from pixelsim.cookies import EventName, EventReport, Fbclid
+from pixelsim.cookies import EventName, EventReport, Fbclid, TrackedUrl
 from pixelsim.pixel import PageEmissions
 from pixelsim.reporting import (
     Distribution,
@@ -17,7 +17,7 @@ def report(site, dest="tracker.example", fbc=None, clid=None):
     return EventReport(
         pixel_id=f"px-{site}",
         event=EventName.PAGE_VIEW,
-        page_url=f"https://{site}/",
+        page_url=TrackedUrl.parse(f"https://{site}/"),
         timestamp=1,
         destination=dest,
         fbp="fb.1.0.1",

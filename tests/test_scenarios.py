@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pixelsim.cookies import EventName, TrackedUrl
+from pixelsim.cookies import EventName
 from pixelsim.errors import ValidationError
 from pixelsim.pixel import FBP_NAME
 from pixelsim.scenarios import (
@@ -232,7 +232,7 @@ class TestExecution:
         # The URL-derived site is the reference the record field replaced.
         for seed in range(200):
             for record in run(random_scenario(seed)).log:
-                assert record.site == TrackedUrl.parse(record.report.page_url).origin
+                assert record.site == record.report.page_url.origin
 
     def test_observe_sees_every_step_in_order(self):
         scenario = random_scenario(7)

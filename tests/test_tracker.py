@@ -25,7 +25,7 @@ def make_report(ts: int, fbp="fb.1.0.42", fbc=None, ext=None, clid=None, site=SI
     return EventReport(
         pixel_id=f"px-{site}",
         event=EventName.PAGE_VIEW,
-        page_url=f"https://{site}/",
+        page_url=TrackedUrl.parse(f"https://{site}/"),
         timestamp=ts,
         destination="tracker.example",
         fbp=fbp,
@@ -94,6 +94,12 @@ class TestMalformedReports:
                 graph.ingest(make_report(1, fbp="fb.1.x.42"))
         assert graph.profiles() == []
         assert not graph.ingest(make_report(1)).duplicate
+
+    def test_over_long_fbp_segment_is_rejected_without_partial_state(self):
+        graph = IdentityGraph()
+        with pytest.raises(MalformedReport):
+            graph.ingest(make_report(1, fbp="fb.1.0." + "9" * 5000))
+        assert graph.dump() == IdentityGraph().dump()
 
 
 class TestLedgerJoin:
@@ -187,6 +193,16 @@ class TestExternalIds:
         graph.ingest(make_report(2, fbp="fb.1.9.2", ext="ext-b"))
         assert len(graph.profiles()) == 2
 
+    def test_empty_external_id_merges_nothing(self):
+        # A wire "ud[external_id]=" decodes to ""; like has_identifier, ingest treats it as absent.
+        graph = IdentityGraph()
+        for ts, fbp in ((1, "fb.1.0.1"), (2, "fb.1.9.2")):
+            report = decode_report(encode_report(make_report(ts, fbp=fbp, ext="")))
+            assert report.external_id == ""
+            assert not graph.ingest(report).merged
+        assert len(graph.profiles()) == 2
+        assert all(not p.external_ids for p in graph.profiles())
+
     def test_external_id_scoped_per_site(self):
         graph = IdentityGraph()
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
@@ -269,7 +285,8 @@ class TestQueries:
         base = make_report(5, fbp="fb.1.0.2", clid=clid[other], site=other)
         for event, path in ((EventName.PAGE_VIEW, ""), (EventName.ADD_TO_CART, "z"),
                             (EventName.ADD_TO_CART, "a")):
-            graph.ingest(replace(base, event=event, page_url=f"https://{other}/{path}"))
+            page_url = TrackedUrl.parse(f"https://{other}/{path}")
+            graph.ingest(replace(base, event=event, page_url=page_url))
 
         expected = [
             (5, other, "AddToCart", f"https://{other}/a"),
