@@ -13,7 +13,7 @@ from . import experiments
 from .cookies import TrackedUrl, parse_fbc, parse_fbp, serialize_fbc
 from .errors import SimulatorError
 from .reporting import MetricsReport
-from .scenarios import RunResult, load_scenario, run as run_scenario
+from .scenarios import INT_LIMIT, RunResult, load_scenario, run as run_scenario
 
 
 @click.group()
@@ -90,7 +90,8 @@ def _parse_fractions(name: str, text: str | None) -> list[float] | None:
 )
 @click.option("--sites", type=click.IntRange(min=1), default=2308, show_default=True)
 @click.option("--fractions", type=str, default=None, help="Comma-separated class fractions.")
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(-INT_LIMIT, INT_LIMIT, min_open=True, max_open=True),
+              default=42, show_default=True)
 @click.option("--gap-days", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def experiment_cmd(name, sites, fractions, seed, gap_days, out):

@@ -9,8 +9,9 @@ GET-request payload a pixel sends to its collection endpoint.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import quote, unquote
 
 from .errors import DomainMismatch, MalformedCookie, MalformedReport
@@ -150,12 +151,12 @@ def subdomain_index(cookie_domain: str, registrable_suffix: str) -> int:
     return len(cookie_domain.split(".")) - len(registrable_suffix.split("."))
 
 
-@dataclass(frozen=True)
-class TrackedUrl:
+class TrackedUrl(NamedTuple):
     """A URL reduced to what tracking needs: origin, path, ordered query pairs.
 
     Query values are stored percent-decoded; order and duplicate keys are
-    preserved through parse/serialize.
+    preserved through parse/serialize.  A tuple, so that building and
+    hashing one runs in C.
     """
 
     origin: str
@@ -206,7 +207,7 @@ class TrackedUrl:
     def with_param(self, key: str, value: str) -> "TrackedUrl":
         """Replace every existing ``key`` pair with a single trailing one."""
         kept = tuple(p for p in self.query if p[0] != key)
-        return replace(self, query=kept + ((key, value),))
+        return self._replace(query=kept + ((key, value),))
 
 
 def extract_fbclid(url: TrackedUrl) -> Fbclid | None:
@@ -219,9 +220,12 @@ def extract_fbclid(url: TrackedUrl) -> Fbclid | None:
     return Fbclid(value)
 
 
-@dataclass(frozen=True)
-class EventReport:
-    """One pixel GET request: what was sent, about what, to whom."""
+class EventReport(NamedTuple):
+    """One pixel GET request: what was sent, about what, to whom.
+
+    A tuple, like ``TrackedUrl``: the tracker hashes every report it
+    receives.
+    """
 
     pixel_id: str
     event: EventName

@@ -10,7 +10,7 @@ parties (hops 1 and 2).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cookies import (
     EventName,
@@ -22,7 +22,6 @@ from .cookies import (
     extract_fbclid,
     serialize_fbc,
     serialize_fbp,
-    subdomain_index,
 )
 from .world import (
     COOKIE_LIFETIME_MS,
@@ -73,7 +72,7 @@ class PageEmissions:
                 yield self._record(forwardee, 2)
 
     def _record(self, destination: str, hop: int) -> EmissionRecord:
-        report = replace(self.forwarded, destination=destination)
+        report = self.forwarded._replace(destination=destination)
         return EmissionRecord(report, hop, self.site, self.browser_id)
 
 
@@ -126,7 +125,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
 
     now = world.clock.now
     jar = world.browser(browser_id).jar(site.domain)
-    idx = subdomain_index(site.domain, site.registrable_suffix)
+    idx = site.subdomain_index
 
     if jar.read(FBP_NAME, now) is None:
         _mint_fbp(world, jar, idx)
@@ -176,9 +175,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
         fbp=fbp_value,
         fbclid_param=fbclid,
     )
-    forwarding = site.second_hop_forwarding
-    fanout = tuple((tp, forwarding.get(tp, ())) for tp in site.first_hop_third_parties)
-    return PageEmissions(url.origin, browser_id, report, forwarded, fanout)
+    return PageEmissions(url.origin, browser_id, report, forwarded, site.fanout)
 
 
 def _reporting_permits(site: SiteConfig, fbclid: Fbclid | None) -> bool:

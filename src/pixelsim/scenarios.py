@@ -26,6 +26,10 @@ from .social import PlatformFeed
 from .tracker import IdentityGraph
 from .world import DAY_MS, ConsentMode, SiteConfig, World
 
+# Every integer of a scenario (seed, ticks, step fields) is below this in
+# magnitude, so that each value a run derives from it prints as a decimal.
+INT_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class Step:
@@ -54,9 +58,10 @@ class Scenario:
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
     def validate(self) -> tuple[list[Browser], list[Action]]:
-        """Decode the browsers and every step, and check the ticks and that
-        no site or browser is listed twice; returns the decoded browsers and
-        actions, which ``run`` uses."""
+        """Decode the seed, the browsers and every step, and check the ticks
+        and that no site or browser is listed twice; returns the decoded
+        browsers and actions, which ``run`` uses."""
+        _decode(int, self.seed, "seed")
         browsers = [_decode(Browser, b, f"browsers[{i}]") for i, b in enumerate(self.browsers)]
         domains, ids = [s.domain for s in self.sites], [b.id for b in browsers]
         for kind, names in ("site", domains), ("browser", ids):
@@ -68,12 +73,13 @@ class Scenario:
         for i, step in enumerate(self.steps):
             try:
                 if type(step.tick) is not int:
-                    raise ValidationError(f"tick must be an int, not {step.tick!r}")
+                    raise ValidationError(f"tick must be an int, not {_shown(step.tick)}")
+                _bounded(step.tick, "tick")
                 if last_tick is not None and step.tick <= last_tick:
                     raise ValidationError("step ticks must be strictly increasing")
                 cls = _ACTIONS.get(step.action) if type(step.action) is str else None
                 if cls is None:
-                    raise ValidationError(f"unknown action {step.action!r}")
+                    raise ValidationError(f"unknown action {_shown(step.action)}")
                 actions.append(_decode(cls, step.params, step.action))
             except ValidationError as exc:
                 raise ValidationError(str(exc), i) from None
@@ -218,9 +224,7 @@ class PlatformClick:
         load = feed.current_loads.get(self.account)
         if load is None:
             raise ValidationError(f"no platform page load for account {self.account!r}")
-        browser_id = self.browser or next(
-            (b.browser_id for b in world.browsers.values() if b.logged_in == self.account), None
-        )
+        browser_id = self.browser or world.browser_logged_into(self.account)
         if browser_id is None:
             raise ValidationError(f"no browser logged into account {self.account!r}")
         # on_page_event skips the browser lookup where the pixel is off.
@@ -240,7 +244,7 @@ class CreateAccount:
     def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
         world.create_account(self.account)
         graph.known_accounts.add(self.account)
-        world.browser(self.browser).logged_in = self.account
+        world.log_in(self.browser, self.account)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -252,7 +256,7 @@ class Login:
 
     def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
         world.account(self.account)
-        world.browser(self.browser).logged_in = self.account
+        world.log_in(self.browser, self.account)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -333,7 +337,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     steps = []
     for i, raw in enumerate(_decode(list, data.get("steps", []), "steps")):
         if not isinstance(raw, dict) or not {"tick", "action"} <= raw.keys():
-            raise ValidationError(f"a step is an object with a tick and an action, not {raw!r}", i)
+            raise ValidationError(
+                f"a step is an object with a tick and an action, not {_shown(raw)}", i)
         params = dict(raw)
         steps.append(Step(tick=params.pop("tick"), action=params.pop("action"), params=params))
     return Scenario(
@@ -368,20 +373,36 @@ def _to_json(value):
 
 
 _type_hints = functools.cache(typing.get_type_hints)
-_JSON_TYPES = frozenset({bool, int, str, list, dict})
+_JSON_TYPES = frozenset({bool, str, list, dict})  # these pass as they are; ints are bounded
+
+
+def _bounded(value: int, path: str) -> int:
+    if -INT_LIMIT < value < INT_LIMIT:
+        return value
+    raise ValidationError(f"{path} must be below 2**63 in magnitude")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, unless it holds an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too large to print"
 
 
 def _decode(tp, value, path: str):
     """``value``, read from JSON, as the type hint ``tp``; errors name ``path``.
 
-    A bool must be a bool, an int an int and not a bool, a str a str.  A
-    ``list[X]``, ``tuple[X, ...]`` or ``frozenset[X]`` is a list, a fixed
-    ``tuple[X, Y]`` a list of two, a ``dict[str, X]`` an object.  An enum is
-    read by value.  A dataclass is an object naming only its fields and each
-    one without a default.
+    A bool must be a bool, an int an int and not a bool, below ``INT_LIMIT``
+    in magnitude, a str a str.  A ``list[X]``, ``tuple[X, ...]`` or
+    ``frozenset[X]`` is a list, a fixed ``tuple[X, Y]`` a list of two, a
+    ``dict[str, X]`` an object.  An enum is read by value.  A dataclass is
+    an object naming only its fields and each one without a default.
     """
     if type(value) is tp and tp in _JSON_TYPES:
         return value
+    if type(value) is tp is int:
+        return _bounded(value, path)
     if dataclasses.is_dataclass(tp) and type(value) is dict:
         hints = _type_hints(tp)
         decoded = value  # copied before the first field value that needs converting
@@ -404,7 +425,7 @@ def _decode(tp, value, path: str):
             return tp(value)
         except ValueError:
             raise ValidationError(
-                f"{path} must be one of {[member.value for member in tp]}, not {value!r}"
+                f"{path} must be one of {[member.value for member in tp]}, not {_shown(value)}"
             ) from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if type(value) is list and (origin in (list, frozenset) or args[-1:] == (...,)):
@@ -415,4 +436,4 @@ def _decode(tp, value, path: str):
         return {_decode(args[0], k, path): _decode(args[1], v, f"{path}[{k!r}]")
                 for k, v in value.items()}
     expected = "an object" if dataclasses.is_dataclass(tp) else repr(tp) if args else tp.__name__
-    raise ValidationError(f"{path} must be {expected}, not {value!r}")
+    raise ValidationError(f"{path} must be {expected}, not {_shown(value)}")

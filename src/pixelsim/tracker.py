@@ -132,13 +132,24 @@ class IdentityGraph:
         if key is not None:
             profile = self._by_key.get(key)
             if profile is None:
-                profile = self._by_key[key] = PseudonymProfile(keys={key}, min_key=key)
+                # A new cookie whose external ID is bound on this site joins
+                # the bound profile, which counts as a merge.  Only non-empty
+                # IDs are ever bound.
+                profile = self._external_index.get((site, report.external_id))
+                if profile is None:
+                    profile = PseudonymProfile(keys={key}, min_key=key)
+                else:
+                    profile.keys.add(key)
+                    profile.min_key = min(profile.min_key, key)
+                    outcome.merged = True
+                self._by_key[key] = profile
             url = report.page_url.serialize()
             insort(profile.activity, Activity(report.timestamp, site, report.event.value, url))
             outcome.profile_key = key
 
         if report.external_id:  # an empty ID is absent, as in has_identifier
-            profile, outcome.merged = self._bind_external_id(site, report.external_id, profile)
+            profile, merged = self._bind_external_id(site, report.external_id, profile)
+            outcome.merged |= merged
 
         if fbclid_value is not None and profile is not None:
             account = self._account_for_fbclid(fbclid_value, site)

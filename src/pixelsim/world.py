@@ -11,8 +11,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
-from .cookies import EventName
+from .cookies import EventName, subdomain_index
 from .errors import (
     DuplicateAccount,
     DuplicateBrowser,
@@ -156,6 +157,18 @@ class SiteConfig:
     def registrable_suffix(self) -> str:
         return self.domain.rsplit(".", 1)[-1]
 
+    # Derived once per site, as no field is assigned after construction.
+
+    @cached_property
+    def subdomain_index(self) -> int:
+        return subdomain_index(self.domain, self.registrable_suffix)
+
+    @cached_property
+    def fanout(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """Each hop-1 third party, in configured order, with its hop-2 destinations."""
+        forwarding = self.second_hop_forwarding
+        return tuple((tp, forwarding.get(tp, ())) for tp in self.first_hop_third_parties)
+
 
 @dataclass
 class Account:
@@ -177,11 +190,15 @@ class ExternalIdRegistry:
     def __init__(self, seed: int):
         self._seed = seed
         self._epochs: dict[tuple[str, str], int] = {}
+        self._values: dict[tuple[str, str], str] = {}  # held until a rotation
 
     def _value(self, site: str, subject: str) -> str:
-        epoch = self._epochs.get((site, subject), 0)
-        key = f"{self._seed}:{site}:{subject}:{epoch}".encode()
-        return hashlib.sha256(key).hexdigest()
+        value = self._values.get((site, subject))
+        if value is None:
+            epoch = self._epochs.get((site, subject), 0)
+            key = f"{self._seed}:{site}:{subject}:{epoch}".encode()
+            value = self._values[site, subject] = hashlib.sha256(key).hexdigest()
+        return value
 
     def get(self, site_config: SiteConfig, browser_id: str) -> str:
         if site_config.external_id_default_when_anonymous:
@@ -191,6 +208,7 @@ class ExternalIdRegistry:
     def rotate(self, site: str, browser_id: str) -> None:
         key = (site, browser_id)
         self._epochs[key] = self._epochs.get(key, 0) + 1
+        self._values.pop(key, None)
 
 
 class World:
@@ -200,7 +218,9 @@ class World:
         self.rng = random.Random(seed)
         self.clock = SimClock()
         self.browsers: dict[str, BrowserProfile] = {}
+        self._spawn_rank: dict[str, int] = {}  # browser id -> its place in spawn order
         self._incognito_browsers: list[BrowserProfile] = []
+        self._sessions: dict[str, set[str]] = {}  # account id -> browsers logged into it
         self.sites: dict[str, SiteConfig] = {}
         self.accounts: dict[str, Account] = {}
         self.external_ids = ExternalIdRegistry(seed)
@@ -216,6 +236,7 @@ class World:
         browser = BrowserProfile(
             browser_id=browser_id, incognito=incognito, user_agent=user_agent
         )
+        self._spawn_rank[browser_id] = len(self.browsers)
         self.browsers[browser_id] = browser
         if incognito:
             self._incognito_browsers.append(browser)
@@ -231,6 +252,19 @@ class World:
         account = Account(account_id=account_id, created_at=self.clock.now)
         self.accounts[account_id] = account
         return account
+
+    def log_in(self, browser_id: str, account_id: str) -> None:
+        """Log the browser into ``account_id``, and out of its previous account."""
+        browser = self.browser(browser_id)
+        if browser.logged_in is not None:
+            self._sessions[browser.logged_in].discard(browser_id)
+        browser.logged_in = account_id
+        self._sessions.setdefault(account_id, set()).add(browser_id)
+
+    def browser_logged_into(self, account_id: str) -> str | None:
+        """The first browser, in spawn order, logged into ``account_id``."""
+        return min(self._sessions.get(account_id, ()), key=self._spawn_rank.__getitem__,
+                   default=None)
 
     def browser(self, browser_id: str) -> BrowserProfile:
         try:
@@ -253,7 +287,8 @@ class World:
     def end_step(self) -> None:
         """Incognito jars do not survive past the step that filled them."""
         for browser in self._incognito_browsers:
-            browser.discard_jars()
+            if browser.jars:
+                browser.discard_jars()
 
     def next_random_number(self) -> int:
         # Ten decimal digits, matching the shape of observed cookie values.

@@ -276,3 +276,32 @@ def forwarding_reference(result: RunResult) -> list[EmissionRecord]:
             for forwardee in site.second_hop_forwarding.get(third_party, ()):
                 records.append(record(forwardee, 2))
     return records
+
+
+def external_id_components(reports: list[EventReport]) -> set[frozenset[tuple[str, str]]]:
+    """The (site, _fbp) keys of ``reports``, partitioned by a plain union-find.
+
+    Two keys of one site are joined when reports carrying them share a
+    non-empty external ID.  A report without ``_fbp`` joins nothing.
+    """
+    parent: dict[tuple[str, str], tuple[str, str]] = {}
+    first_key: dict[tuple[str, str], tuple[str, str]] = {}  # (site, external ID) -> key
+
+    def find(key):
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    for r in reports:
+        if r.fbp is None:
+            continue
+        site = r.page_url.origin
+        key = (site, r.fbp)
+        parent.setdefault(key, key)
+        if r.external_id:
+            other = first_key.setdefault((site, r.external_id), key)
+            parent[find(key)] = find(other)
+    components: dict[tuple[str, str], set] = {}
+    for key in parent:
+        components.setdefault(find(key), set()).add(key)
+    return {frozenset(keys) for keys in components.values()}

@@ -88,6 +88,17 @@ class TestRun:
         assert "error: step 1: tick must be an int" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_seed_out_of_range_is_an_error_line(self, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(
+            json.dumps(scenario_to_dict(random_scenario(6))), encoding="utf-8"
+        )
+        result = invoke("run", str(scenario_path), "--seed", str(2**63),
+                        "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert "error: seed must be below 2**63 in magnitude" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_world(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(
@@ -128,6 +139,8 @@ class TestExperiment:
             ["external-id", "--fractions", "1.5"],
             ["expiration", "--gap-days", "0"],
             ["profiling", "--sites", "-3"],
+            ["four-day", "--seed", str(2**63)],
+            ["four-day", "--seed", str(-(2**63))],
         ],
     )
     def test_bad_option_is_a_usage_error(self, args):

@@ -1,10 +1,15 @@
-"""Raw-input fuzz of the codec entry points and of ingest.
+"""Raw-input fuzz of the codec entry points, of ingest and of scenarios.
 
 Any text given to a codec either decodes or raises a ``SimulatorError``,
 and a decoded report that the tracker rejects leaves its graph as it was.
 Query wires start from one well-formed report and disturb a few of its
 fields, so that most of them decode and reach ``IdentityGraph.ingest``.
+Scenario dicts likewise start from one valid scenario that runs every
+action, and any JSON-like value put into it either runs or raises a
+``SimulatorError``.
 """
+
+import copy
 
 from hypothesis import example, given, strategies as st
 
@@ -17,6 +22,7 @@ from pixelsim.cookies import (
     parse_fbp,
 )
 from pixelsim.errors import SimulatorError
+from pixelsim.scenarios import run, scenario_from_dict
 from pixelsim.social import PlatformFeed
 from pixelsim.tracker import IdentityGraph
 
@@ -130,3 +136,95 @@ class TestIngest:
             # Profiles join only through an external ID a report carried.
             assert "" not in profile.external_ids
             assert len(profile.keys) == 1 or profile.external_ids
+
+
+# One valid scenario that runs every action; its last step is a page event.
+SCENARIO = {
+    "seed": 5,
+    "consent_mode": "AcceptAll",
+    "sites": [
+        {"domain": SITE, "shares_external_id": True, "first_hop_third_parties": ["tp.example"],
+         "second_hop_forwarding": {"tp.example": ["fw.example"]}},
+        {"domain": "news.example", "expiration_policy": "RotateValue",
+         "reporting_class": "FbpOnlyWithFbclid", "tracked_events": ["PageView", "Purchase"]},
+    ],
+    "browsers": [{"id": "b1"}, {"id": "b2", "incognito": True}],
+    "steps": [
+        {"tick": 1, "action": "CreateAccount", "browser": "b1", "account": "u1"},
+        {"tick": 2, "action": "PlatformLoad", "account": "u1"},
+        {"tick": 3, "action": "PlatformClick", "account": "u1", "site": SITE},
+        {"tick": 4, "action": "Login", "browser": "b2", "account": "u1"},
+        {"tick": 5, "action": "InjectFbclid", "browser": "b2", "site": "news.example",
+         "value": "Injected"},
+        {"tick": 6, "action": "RotateExternalId", "browser": "b1", "site": SITE},
+        {"tick": 7, "action": "AdvanceDays", "days": 2},
+        {"tick": 172_800_008, "action": "DeleteCookie", "browser": "b1", "site": SITE,
+         "name": "_fbp"},
+        {"tick": 172_800_009, "action": "Reload", "browser": "b1", "site": "news.example"},
+        {"tick": 172_800_010, "action": "Visit", "browser": "b1", "site": SITE,
+         "url_extras": [["fbclid", "x"]], "event": "Purchase"},
+    ],
+}
+HUGE = 10**5000  # more digits than an int prints by default
+
+
+def paths(value, prefix=()):
+    """The path of every value inside ``value``, containers included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from paths(item, prefix + (key,))
+
+
+NAMES = st.sampled_from(
+    ["b1", "b2", "u1", SITE, "news.example", "tp.example", "Visit", "PlatformClick", "PageView",
+     "RotateValue", "Blocked", "FbpOnly", "fbclid", "_fbc", "tick", "action", ""]
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6) | NAMES
+    | st.integers()
+    # Built, not sampled: a strategy holding an int too long to print fails to print itself.
+    | st.builds(lambda sign, bits, offset: sign * (2**bits + offset),
+                st.sampled_from([1, -1]), st.sampled_from([63, 15_000]), st.sampled_from([-1, 0])),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+DROP = object()  # an edit that removes the value at its path
+SCENARIO_EDITS = st.lists(
+    st.tuples(st.sampled_from(list(paths(SCENARIO))[1:]), st.just(DROP) | JSON), max_size=3
+)
+
+
+def edited(edits) -> dict:
+    """``SCENARIO`` with each (path, value) edit applied where its path still leads."""
+    data = copy.deepcopy(SCENARIO)
+    for path, value in edits:
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
+    return data
+
+
+class TestScenarios:
+    def test_base_scenario_runs_every_action(self):
+        result = run(scenario_from_dict(edited([])))
+        assert result.graph.resolve() and result.report.counters["emissions_hop2"]
+
+    @given(SCENARIO_EDITS)
+    @example([(("seed",), HUGE)])
+    @example([(("steps", 9, "tick"), HUGE)])
+    def test_scenarios_run_or_raise_simulator_errors(self, edits):
+        accepted(lambda: run(scenario_from_dict(edited(edits))))

@@ -379,6 +379,10 @@ class TestScenarioFiles:
             (lambda d: d.update(seed="x"), None),
             (lambda d: d["browsers"].append({"id": "b1"}), None),
             (lambda d: d["steps"][1].update(action=["Reload"]), 1),
+            (lambda d: d.update(seed=10**5000), None),
+            (lambda d: d.update(seed=-(2**63)), None),
+            (lambda d: d["steps"][1].update(tick=10**5000), 1),
+            (lambda d: d["steps"][1].update(tick=2**63), 1),
         ],
         ids=[
             "unknown-consent-mode", "no-seed", "no-tick", "no-action",
@@ -387,6 +391,7 @@ class TestScenarioFiles:
             "site-not-an-object", "third-parties-a-string", "has-pixel-a-string",
             "forwarding-to-a-string", "incognito-a-string", "user-agent-an-int",
             "seed-a-string", "browser-listed-twice", "action-not-a-string",
+            "seed-too-long-to-print", "seed-of-2**63", "tick-too-long-to-print", "tick-of-2**63",
         ],
     )
     def test_malformed_dict_is_a_validation_error(self, spoil, step_index):

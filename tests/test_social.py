@@ -1,7 +1,5 @@
 """Platform-side behavior: click-ID arrays, decoration, the ledger."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -242,7 +240,7 @@ class TestRecordClick:
 
     def test_stripped_click_degrades_to_plain_visit(self):
         decorated = self._click()
-        stripped = replace(decorated, query=tuple(p for p in decorated.query if p[0] != "fbclid"))
+        stripped = decorated._replace(query=tuple(p for p in decorated.query if p[0] != "fbclid"))
         fbc, records = self._land(stripped)
         assert fbc is None
         assert records[0].report.fbc is None

@@ -1,7 +1,6 @@
 """Identity graph: profiles, ledger joins, external-ID merges, anomalies."""
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +16,7 @@ from pixelsim.cookies import (
 from pixelsim.errors import MalformedReport, UnknownAccount
 from pixelsim.social import PlatformFeed
 from pixelsim.tracker import Activity, IdentityGraph
+from helpers import external_id_components
 
 SITE = "shop.example"
 
@@ -187,6 +187,23 @@ class TestExternalIds:
         assert profile.activity[0] is kept and profile.activity[1] is absorbed
         assert profile.min_key == (SITE, "fb.1.0.1")
 
+    def test_new_cookie_joins_the_bound_profile(self):
+        graph = IdentityGraph()
+        graph.ingest(make_report(5, fbp="fb.1.0.3", ext="ext-a"))
+        graph.ingest(make_report(5, fbp="fb.1.0.1", ext="ext-a"))
+        bound = graph.profile((SITE, "fb.1.0.3"))
+        arrived = list(bound.activity)
+        outcome = graph.ingest(make_report(5, fbp="fb.1.0.2", ext="ext-a"))
+        assert outcome.merged
+        assert outcome.profile_key == (SITE, "fb.1.0.1")  # the bound profile's smallest key
+        assert graph.profiles() == [bound]
+        assert graph.profile((SITE, "fb.1.0.2")) is bound
+        assert bound.keys == {(SITE, "fb.1.0.1"), (SITE, "fb.1.0.2"), (SITE, "fb.1.0.3")}
+        # Equal activities stay in arrival order, the new one last.
+        assert len(bound.activity) == 3
+        assert all(a is b for a, b in zip(bound.activity, arrived))
+        assert bound.activity[2] == arrived[0] and bound.activity[2] is not arrived[0]
+
     def test_rotated_external_id_does_not_merge(self):
         graph = IdentityGraph()
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
@@ -286,7 +303,7 @@ class TestQueries:
         for event, path in ((EventName.PAGE_VIEW, ""), (EventName.ADD_TO_CART, "z"),
                             (EventName.ADD_TO_CART, "a")):
             page_url = TrackedUrl.parse(f"https://{other}/{path}")
-            graph.ingest(replace(base, event=event, page_url=page_url))
+            graph.ingest(base._replace(event=event, page_url=page_url))
 
         expected = [
             (5, other, "AddToCart", f"https://{other}/a"),
@@ -359,3 +376,29 @@ class TestInvariants:
             f"{site}|{fbp}" for site, fbp in received
         )
         assert len(dumped) == len(live)
+
+    @given(
+        reports=st.lists(
+            st.tuples(
+                st.integers(0, 5),  # timestamp; ties and late arrivals
+                st.sampled_from(["fb.1.0.1", "fb.1.0.2", "fb.1.0.3", "fb.1.0.4", None]),
+                st.sampled_from([SITE, "other.example", "third.example"]),
+                st.sampled_from(["ext-a", "ext-b", "", None]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_external_id_joins_match_a_union_find(self, reports):
+        graph = IdentityGraph()
+        sent = [make_report(ts, fbp=fbp, ext=ext, site=site) for ts, fbp, site, ext in reports]
+        for report in sent:
+            graph.ingest(report)
+        live = graph.profiles()
+        assert {frozenset(p.keys) for p in live} == external_id_components(sent)
+        received = [r for r in dict.fromkeys(sent) if r.fbp is not None]  # duplicates dropped
+        for profile in live:
+            expected = [
+                Activity(r.timestamp, r.page_url.origin, r.event.value, r.page_url.serialize())
+                for r in received if (r.page_url.origin, r.fbp) in profile.keys
+            ]
+            assert profile.activity == sorted(expected)
