@@ -35,9 +35,9 @@ def _write_outputs(out: Path, report: MetricsReport, result: RunResult | None) -
 
 
 @main.command("run")
-@click.argument("scenario_file", type=click.Path(exists=True))
+@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
-@click.option("--out", type=click.Path(), default="out", show_default=True)
+@click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True)
 def run_cmd(scenario_file, seed, out):
     """Execute a scenario JSON file."""
     try:
@@ -93,27 +93,31 @@ def _parse_fractions(name: str, text: str | None) -> list[float] | None:
 @click.option("--seed", type=click.IntRange(-INT_LIMIT, INT_LIMIT, min_open=True, max_open=True),
               default=42, show_default=True)
 @click.option("--gap-days", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(file_okay=False), default=None)
 def experiment_cmd(name, sites, fractions, seed, gap_days, out):
     """Replay a built-in experiment and print its metrics report."""
     fracs = _parse_fractions(name, fractions)
     result = None
-    if name == "profiling":
-        report, result = experiments.experiment_profiling(sites, fracs, seed=seed)
-    elif name == "expiration":
-        report, result = experiments.experiment_expiration(
-            sites, fracs, gap_days=gap_days, seed=seed
-        )
-    elif name == "external-id":
-        report, result = experiments.experiment_external_id(sites, *(fracs or ()), seed=seed)
-    elif name == "propagation":
-        report, _results = experiments.experiment_propagation(sites, seed=seed)
-    elif name == "consent":
-        report, _results = experiments.experiment_consent(sites, *(fracs or ()), seed=seed)
-    else:  # four-day
-        result = experiments.run_four_day(seed)
-        report = result.report
-        report.counters["linked_pairs"] = len(result.graph.resolve())
+    try:
+        if name == "profiling":
+            report, result = experiments.experiment_profiling(sites, fracs, seed=seed)
+        elif name == "expiration":
+            report, result = experiments.experiment_expiration(
+                sites, fracs, gap_days=gap_days, seed=seed
+            )
+        elif name == "external-id":
+            report, result = experiments.experiment_external_id(sites, *(fracs or ()), seed=seed)
+        elif name == "propagation":
+            report, _results = experiments.experiment_propagation(sites, seed=seed)
+        elif name == "consent":
+            report, _results = experiments.experiment_consent(sites, *(fracs or ()), seed=seed)
+        else:  # four-day
+            result = experiments.run_four_day(seed)
+            report = result.report
+            report.counters["linked_pairs"] = len(result.graph.resolve())
+    except SimulatorError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
     if out:
         _write_outputs(Path(out), report, result)
@@ -156,18 +160,24 @@ def report_group():
 
 
 @report_group.command("diff")
-@click.argument("a", type=click.Path(exists=True))
-@click.argument("b", type=click.Path(exists=True))
+@click.argument("a", type=click.Path(exists=True, dir_okay=False))
+@click.argument("b", type=click.Path(exists=True, dir_okay=False))
 def report_diff(a, b):
-    """Compare two report JSON files; exit non-zero when they differ."""
-    left = json.loads(Path(a).read_text(encoding="utf-8"))
-    right = json.loads(Path(b).read_text(encoding="utf-8"))
-    differences = _diff(left, right)
+    """Compare two report JSON files; exit 1 when they differ."""
+    differences = _diff(_read_json(a, "'A'"), _read_json(b, "'B'"))
     for path, lv, rv in differences:
         click.echo(f"{path}: {lv!r} != {rv!r}")
     if differences:
         sys.exit(1)
     click.echo("identical")
+
+
+def _read_json(path: str, param_hint: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise click.BadParameter(f"{path} is not a readable JSON file: {exc}",
+                                 param_hint=param_hint) from None
 
 
 def _diff(left, right, path="$"):

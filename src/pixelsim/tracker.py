@@ -60,7 +60,7 @@ class IdentityGraph:
     def __init__(self, click_ledger: PlatformFeed | None = None):
         self.click_ledger = click_ledger
         self._by_key: dict[ProfileKey, PseudonymProfile] = {}
-        self._external_index: dict[tuple[str, str], PseudonymProfile] = {}
+        self._external_index: dict[tuple[str, str], ProfileKey] = {}
         self.known_accounts: set[str] = set()
         self.anomalies: list[Anomaly] = []
         self.orphans: list[EventReport] = []
@@ -75,14 +75,12 @@ class IdentityGraph:
         """Each live profile once, ordered by the arrival of its earliest key."""
         return list(dict.fromkeys(self._by_key.values()))
 
-    def _merge(self, site: str, a: PseudonymProfile, b: PseudonymProfile) -> bool:
+    def _merge(self, a: PseudonymProfile, b: PseudonymProfile) -> bool:
         """Fold profile ``b`` into ``a``; refuse on conflicting links.
 
-        Both profiles belong to ``site``: a merge joins them through an
-        external ID, which is bound per site.
+        Afterwards every key of ``b`` resolves to ``a``, and with them every
+        external ID bound to ``b``: a binding names a key, not a profile.
         """
-        if a is b:
-            return False
         if a.linked_account and b.linked_account and a.linked_account != b.linked_account:
             self.anomalies.append(
                 Anomaly(
@@ -104,11 +102,6 @@ class IdentityGraph:
             a.linked_account = b.linked_account
         for key in b.keys:
             self._by_key[key] = a
-        # Only ``b``'s own external IDs can be bound to it.
-        for external_id in b.external_ids:
-            ext_key = (site, external_id)
-            if self._external_index.get(ext_key) is b:
-                self._external_index[ext_key] = a
         return True
 
     # -- ingestion ---------------------------------------------------------
@@ -128,37 +121,41 @@ class IdentityGraph:
         fbclid_value = self._checked_fbclid(report, key)
         self._seen_reports.add(report)
 
-        profile: PseudonymProfile | None = None
+        # The cookie's profile and the profile its external ID is bound to on
+        # this site settle the report's profile.  Only non-empty IDs are bound.
+        profile = self._by_key.get(key)
+        bound = self._by_key.get(self._external_index.get((site, report.external_id)))
+        if key is None:
+            # No cookie: the external ID alone identifies the profile.
+            if bound is None:
+                return outcome
+            profile = bound
+        elif profile is None:
+            if bound is None:
+                profile = PseudonymProfile(keys={key}, min_key=key)
+            else:
+                # A new cookie joins the bound profile, which counts as a merge.
+                profile = bound
+                profile.keys.add(key)
+                profile.min_key = min(profile.min_key, key)
+                outcome.merged = True
+            self._by_key[key] = profile
+        elif bound is not None and bound is not profile and self._merge(bound, profile):
+            profile = bound
+            outcome.merged = True
+
         if key is not None:
-            profile = self._by_key.get(key)
-            if profile is None:
-                # A new cookie whose external ID is bound on this site joins
-                # the bound profile, which counts as a merge.  Only non-empty
-                # IDs are ever bound.
-                profile = self._external_index.get((site, report.external_id))
-                if profile is None:
-                    profile = PseudonymProfile(keys={key}, min_key=key)
-                else:
-                    profile.keys.add(key)
-                    profile.min_key = min(profile.min_key, key)
-                    outcome.merged = True
-                self._by_key[key] = profile
             url = report.page_url.serialize()
             insort(profile.activity, Activity(report.timestamp, site, report.event.value, url))
-            outcome.profile_key = key
-
         if report.external_id:  # an empty ID is absent, as in has_identifier
-            profile, merged = self._bind_external_id(site, report.external_id, profile)
-            outcome.merged |= merged
-
-        if fbclid_value is not None and profile is not None:
+            self._external_index[(site, report.external_id)] = profile.min_key
+            profile.external_ids.add(report.external_id)
+        if fbclid_value is not None:
             account = self._account_for_fbclid(fbclid_value, site)
             if account is not None:
                 self._link(profile, account)
-
-        if profile is not None:
-            outcome.linked_account = profile.linked_account
-            outcome.profile_key = profile.min_key
+        outcome.linked_account = profile.linked_account
+        outcome.profile_key = profile.min_key
         return outcome
 
     def _checked_fbclid(self, report: EventReport, key: ProfileKey | None) -> str | None:
@@ -179,35 +176,16 @@ class IdentityGraph:
             return report.fbclid_param.value
         return None
 
-    def _bind_external_id(
-        self, site: str, external_id: str, profile: PseudonymProfile | None
-    ) -> tuple[PseudonymProfile | None, bool]:
-        ext_key = (site, external_id)
-        existing = self._external_index.get(ext_key)
-        if profile is None:
-            # No cookie in the report: the external ID alone identifies the
-            # profile, if one is already bound on this site.
-            profile = existing
-            if profile is None:
-                return None, False
-        merged = existing is not None and self._merge(site, existing, profile)
-        if merged:
-            profile = existing
-        self._external_index[ext_key] = profile
-        profile.external_ids.add(external_id)
-        return profile, merged
-
     def _account_for_fbclid(self, fbclid_value: str, site: str) -> str | None:
         if self.click_ledger is None:
             return None
         entries = self.click_ledger.entries_for(fbclid_value)
-        if not entries:
-            return None
-        # Prefer issuances whose link targeted this site; an ID reused
-        # across targets falls back to the most recent issuance.
-        matching = [e for e in entries if e.target_origin == site]
-        candidates = matching or entries
-        return candidates[-1].account_id
+        # Prefer the latest issuance whose link targeted this site; an ID
+        # reused across other targets falls back to the most recent issuance.
+        for entry in reversed(entries):
+            if entry.target_origin == site:
+                return entry.account_id
+        return entries[-1].account_id if entries else None
 
     def _link(self, profile: PseudonymProfile, account: str) -> None:
         if profile.linked_account is None:

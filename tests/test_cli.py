@@ -99,6 +99,22 @@ class TestRun:
         assert "error: seed must be below 2**63 in magnitude" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_directory_or_existing_file_path_is_a_usage_error(self, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(
+            json.dumps(scenario_to_dict(random_scenario(5))), encoding="utf-8"
+        )
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        for args, message in (
+            ([str(tmp_path)], "is a directory"),
+            ([str(scenario_path), "--out", str(taken)], "is a file"),
+        ):
+            result = invoke("run", *args)
+            assert result.exit_code == 2, result.output
+            assert message in result.output
+        assert taken.read_text(encoding="utf-8") == ""
+
     def test_seed_override_changes_world(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(
@@ -141,6 +157,7 @@ class TestExperiment:
             ["profiling", "--sites", "-3"],
             ["four-day", "--seed", str(2**63)],
             ["four-day", "--seed", str(-(2**63))],
+            ["four-day", "--out", __file__],  # an existing file
         ],
     )
     def test_bad_option_is_a_usage_error(self, args):
@@ -148,6 +165,12 @@ class TestExperiment:
         result = invoke("experiment", "--sites", "10", *args)
         assert result.exit_code == 2, result.output
         assert args[1] in result.output
+
+    def test_invalid_built_scenario_is_an_error_line(self):
+        result = invoke("experiment", "expiration", "--sites", "3",
+                        "--gap-days", "100000000000")
+        assert result.exit_code == 1, result.output
+        assert "error: step 6: tick must be below 2**63 in magnitude" in result.output
 
     def test_propagation_writes_distribution_csv(self, tmp_path):
         out = tmp_path / "prop"
@@ -179,3 +202,23 @@ class TestReportDiff:
         diff = invoke("report", "diff", str(a), str(c))
         assert diff.exit_code == 1
         assert "$.counters.x" in diff.output
+
+    @pytest.mark.parametrize(
+        "content", [b'{"a": 1', b'{"a": "\xff"}'], ids=["bad-json", "not-utf8"]
+    )
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        good = tmp_path / "good.json"
+        bad.write_bytes(content)
+        good.write_text(json.dumps({"a": 1}), encoding="utf-8")
+        for args in ([bad, good], [good, bad]):
+            result = invoke("report", "diff", *map(str, args))
+            assert result.exit_code == 2, result.output
+            assert str(bad) in result.output and "not a readable JSON file" in result.output
+
+    def test_directory_is_a_usage_error(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"a": 1}), encoding="utf-8")
+        result = invoke("report", "diff", str(tmp_path), str(good))
+        assert result.exit_code == 2, result.output
+        assert "is a directory" in result.output

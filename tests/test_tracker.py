@@ -204,6 +204,15 @@ class TestExternalIds:
         assert all(a is b for a, b in zip(bound.activity, arrived))
         assert bound.activity[2] == arrived[0] and bound.activity[2] is not arrived[0]
 
+    def test_binding_of_an_absorbed_profile_follows_the_merge(self):
+        graph = IdentityGraph()
+        graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
+        graph.ingest(make_report(2, fbp="fb.1.0.2", ext="ext-b"))
+        assert graph.ingest(make_report(3, fbp="fb.1.0.2", ext="ext-a")).merged
+        outcome = graph.ingest(make_report(4, fbp=None, ext="ext-b"))
+        assert outcome.profile_key == (SITE, "fb.1.0.1")
+        assert len(graph.profiles()) == 1
+
     def test_rotated_external_id_does_not_merge(self):
         graph = IdentityGraph()
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
@@ -265,6 +274,10 @@ class TestExternalIds:
             ((SITE, "fb.1.0.1"), "u1"),
             ((SITE, "fb.1.9.2"), "u2"),
         ]
+        # The refused merge leaves the ID bound to the profile that carried it last.
+        outcome = graph.ingest(make_report(5, fbp=None, ext="ext-a"))
+        assert outcome.profile_key == (SITE, "fb.1.9.2")
+        assert outcome.linked_account == "u2"
 
 
 class TestQueries:
