@@ -22,7 +22,10 @@ def main():
 
 
 def _write_outputs(out: Path, report: MetricsReport, result: RunResult | None) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the path, or no permission
+        raise click.BadParameter(f"cannot create {out}: {exc}", param_hint="'--out'") from None
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     for name in report.distributions:
         (out / f"{name}.csv").write_text(report.distribution_csv(name), encoding="utf-8")
@@ -142,12 +145,7 @@ def parse_cmd(kind, value):
                 serialized=serialize_fbc(cookie),
             )
         else:
-            url = TrackedUrl.parse(value)
-            data = {
-                "origin": url.origin,
-                "path": url.path,
-                "query": [list(p) for p in url.query],
-            }
+            data = TrackedUrl.parse(value)._asdict()
     except SimulatorError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

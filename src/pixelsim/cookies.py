@@ -234,7 +234,7 @@ class EventReport(NamedTuple):
     destination: str
     fbp: str | None = None  # serialized FbpCookie
     fbc: str | None = None  # serialized FbcCookie
-    fbclid_param: Fbclid | None = None  # bare click ID, sent when no _fbc exists
+    fbclid_param: Fbclid | None = None  # bare click ID; the pixel forwards it to third parties
     external_id: str | None = None  # hex string, any even length
 
     def has_identifier(self) -> bool:

@@ -10,7 +10,6 @@ the simulator end to end, not any live-web population.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from .cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, EventReport
 from .pixel import FBP_NAME, PageEmissions
@@ -155,8 +154,8 @@ def experiment_profiling(
 # -- rolling expiration ----------------------------------------------------
 
 
-# One crawl pass as a site's probe saw it: a copy of its _fbp entry (None
-# when absent) and the tick.
+# One crawl pass as a site's probe saw it: its _fbp entry (None when absent)
+# and the tick.
 _Pass = tuple[CookieEntry | None, int]
 
 
@@ -190,8 +189,7 @@ def experiment_expiration(
         # Only a site's own steps touch the crawler's jar for that site, so
         # right after its step the jar holds what a whole crawl pass leaves.
         entry = world.browser("crawler").jar(step.params["site"]).entries.get(FBP_NAME)
-        # Copied: a later touch() moves ``expires`` in place.
-        passes[step.params["site"]].append((replace(entry) if entry else None, world.clock.now))
+        passes[step.params["site"]].append((entry, world.clock.now))
 
     result = run(
         Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps),
@@ -559,7 +557,7 @@ TRAVEL_SITE = "www.travel.com"
 FOUR_DAY_ACCOUNT = "U1234"
 
 
-def four_day_scenario(seed: int = 42) -> Scenario:
+def run_four_day(seed: int = 42) -> RunResult:
     """Two anonymous visits, account creation, then a platform click."""
     site = SiteConfig(domain=TRAVEL_SITE)
     steps = [
@@ -573,8 +571,4 @@ def four_day_scenario(seed: int = 42) -> Scenario:
             {"account": FOUR_DAY_ACCOUNT, "site": TRAVEL_SITE, "element_class": "feed-link"},
         ),
     ]
-    return Scenario(seed=seed, sites=[site], browsers=[{"id": "bZ"}], steps=steps)
-
-
-def run_four_day(seed: int = 42) -> RunResult:
-    return run(four_day_scenario(seed))
+    return run(Scenario(seed=seed, sites=[site], browsers=[{"id": "bZ"}], steps=steps))

@@ -89,21 +89,22 @@ def _consent_blocks(world: World, site: SiteConfig) -> bool:
     return False
 
 
-def _mint_fbp(world: World, jar: CookieJar, idx: int) -> None:
+def _mint_fbp(world: World, site: SiteConfig, jar: CookieJar) -> None:
     """Write a fresh browser-ID cookie, drawing its random number."""
     now = world.clock.now
     cookie = FbpCookie(
-        subdomain_index=idx, creation_time=now, random_number=world.next_random_number()
+        subdomain_index=site.subdomain_index, creation_time=now,
+        random_number=world.next_random_number(),
     )
     jar.write(FBP_NAME, serialize_fbp(cookie), now, now + COOKIE_LIFETIME_MS)
 
 
-def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar, idx: int,
+def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar,
                             clicked: bool, reload: bool) -> None:
     """Renew (or rotate) the browser-ID cookie according to site policy.
 
     A visit whose click ID reaches the pixel counts as a click visit, even
-    when it is also a reload.  ``idx`` is the site's subdomain index.
+    when it is also a reload.
     """
     policy = site.expiration_policy
     if (policy is ExpirationPolicy.NEVER
@@ -111,7 +112,7 @@ def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar, idx:
             or (policy is ExpirationPolicy.ONLY_RELOAD and (clicked or not reload))):
         return
     if policy is ExpirationPolicy.ROTATE_VALUE:
-        _mint_fbp(world, jar, idx)
+        _mint_fbp(world, site, jar)
     else:
         jar.touch(FBP_NAME, world.clock.now + COOKIE_LIFETIME_MS)
 
@@ -119,26 +120,26 @@ def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar, idx:
 def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventName,
                   reload: bool = False) -> PageEmissions:
     site = world.site(url.origin)
+    browser = world.browser(browser_id)
     if (not site.has_pixel or site.expiration_policy is ExpirationPolicy.BLOCKED
             or _consent_blocks(world, site)):
         return PageEmissions(url.origin, browser_id)
 
     now = world.clock.now
-    jar = world.browser(browser_id).jar(site.domain)
-    idx = site.subdomain_index
+    jar = browser.jar(site.domain)
 
     if jar.read(FBP_NAME, now) is None:
-        _mint_fbp(world, jar, idx)
+        _mint_fbp(world, site, jar)
 
     # A stripping site removes the parameter before the pixel ever sees it,
-    # so no _fbc is written, nothing falls back to a bare parameter, third
-    # parties are not handed the ID, and the expiry policy sees no click.
+    # so no _fbc is written, third parties are not handed the ID, and the
+    # expiry policy sees no click.
     fbclid = None if site.strips_fbclid else extract_fbclid(url)
     if fbclid is not None:
-        fbc = FbcCookie(subdomain_index=idx, creation_time=now, fbclid=fbclid)
+        fbc = FbcCookie(subdomain_index=site.subdomain_index, creation_time=now, fbclid=fbclid)
         jar.write(FBC_NAME, serialize_fbc(fbc), now, now + COOKIE_LIFETIME_MS)
 
-    apply_expiration_policy(world, site, jar, idx, fbclid is not None, reload)
+    apply_expiration_policy(world, site, jar, fbclid is not None, reload)
 
     fbp_value = jar.read(FBP_NAME, now)
 
@@ -146,9 +147,6 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
     if event in site.tracked_events and _reporting_permits(site, fbclid):
         fbc_value = jar.read(FBC_NAME, now)
         include_fbc = site.reporting_class is not ReportingClass.FBP_ONLY
-        # The bare click-ID fallback fires only when the _fbc write itself
-        # was suppressed but the parameter was present in the URL.
-        bare = fbclid if (include_fbc and fbc_value is None and fbclid is not None) else None
         report = EventReport(
             pixel_id=site.pixel_id,
             event=event,
@@ -157,9 +155,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
             destination=TRACKER_DOMAIN,
             fbp=fbp_value,
             fbc=fbc_value if include_fbc else None,
-            fbclid_param=bare,
-            external_id=(world.external_ids.get(site, browser_id)
-                         if site.shares_external_id else None),
+            external_id=world.external_ids.get(site, browser_id),
         )
 
     if not site.first_hop_third_parties:

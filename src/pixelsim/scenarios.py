@@ -58,10 +58,16 @@ class Scenario:
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
     def validate(self) -> tuple[list[Browser], list[Action]]:
-        """Decode the seed, the browsers and every step, and check the ticks
-        and that no site or browser is listed twice; returns the decoded
-        browsers and actions, which ``run`` uses."""
+        """Decode the seed, the browsers and every step, and check the types
+        of the consent mode, sites and steps, the ticks, and that no site or
+        browser is listed twice; returns the decoded browsers and actions,
+        which ``run`` uses."""
         _decode(int, self.seed, "seed")
+        if not isinstance(self.consent_mode, ConsentMode):
+            raise ValidationError(f"consent_mode {_shown(self.consent_mode)} is not a ConsentMode")
+        for i, site in enumerate(self.sites):
+            if not isinstance(site, SiteConfig):
+                raise ValidationError(f"sites[{i}] {_shown(site)} is not a SiteConfig")
         browsers = [_decode(Browser, b, f"browsers[{i}]") for i, b in enumerate(self.browsers)]
         domains, ids = [s.domain for s in self.sites], [b.id for b in browsers]
         for kind, names in ("site", domains), ("browser", ids):
@@ -72,6 +78,8 @@ class Scenario:
         last_tick = None
         for i, step in enumerate(self.steps):
             try:
+                if not isinstance(step, Step):
+                    raise ValidationError(f"step {_shown(step)} is not a Step")
                 if type(step.tick) is not int:
                     raise ValidationError(f"tick must be an int, not {_shown(step.tick)}")
                 _bounded(step.tick, "tick")
@@ -227,7 +235,6 @@ class PlatformClick:
         browser_id = self.browser or world.browser_logged_into(self.account)
         if browser_id is None:
             raise ValidationError(f"no browser logged into account {self.account!r}")
-        # on_page_event skips the browser lookup where the pixel is off.
         world.browser(browser_id)
         world.site(self.site)
         decorated, _entry = feed.decorate_outbound(load, TrackedUrl(self.site), self.element_class)
@@ -268,7 +275,10 @@ class DeleteCookie:
     name: str
 
     def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
-        world.browser(self.browser).jar(self.site).delete(self.name)
+        # A browser holds no jar for a site it never visited.
+        jar = world.browser(self.browser).jars.get(world.site(self.site).domain)
+        if jar is not None:
+            jar.delete(self.name)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -9,8 +9,7 @@ on the same site.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -91,12 +90,10 @@ class IdentityGraph:
             return False
         a.keys |= b.keys
         a.min_key = min(a.min_key, b.min_key)
-        if b.activity:
-            # ``a``'s activities up to ``b``'s first stay put (usually all
-            # of them); one stable merge pass interleaves the rest, so on
-            # equal keys ``a``'s come first, as with insort.
-            start = bisect_right(a.activity, b.activity[0])
-            a.activity[start:] = heapq.merge(a.activity[start:], b.activity)
+        # Both lists are sorted, so the stable sort is one linear merge pass,
+        # and on equal keys ``a``'s come first, as with insort.
+        a.activity += b.activity
+        a.activity.sort()
         a.external_ids |= b.external_ids
         if a.linked_account is None:
             a.linked_account = b.linked_account

@@ -109,6 +109,7 @@ class TestRun:
         for args, message in (
             ([str(tmp_path)], "is a directory"),
             ([str(scenario_path), "--out", str(taken)], "is a file"),
+            ([str(scenario_path), "--out", str(taken / "sub")], "cannot create"),
         ):
             result = invoke("run", *args)
             assert result.exit_code == 2, result.output
@@ -158,6 +159,7 @@ class TestExperiment:
             ["four-day", "--seed", str(2**63)],
             ["four-day", "--seed", str(-(2**63))],
             ["four-day", "--out", __file__],  # an existing file
+            ["four-day", "--out", __file__ + "/sub"],  # below an existing file
         ],
     )
     def test_bad_option_is_a_usage_error(self, args):

@@ -148,6 +148,15 @@ class TestReportingClasses:
         assert len(emissions) == 1
         assert emissions[0].report.fbc is not None
 
+    @pytest.mark.parametrize(
+        "reporting_class", [ReportingClass.BOTH, ReportingClass.FBP_ONLY_WITH_FBCLID]
+    )
+    def test_click_report_carries_click_id_only_in_fbc(self, reporting_class):
+        world = make_world(reporting_class=reporting_class)
+        report = visit(world, f"https://{SITE}/?fbclid=X")[0].report
+        assert parse_fbc(report.fbc).fbclid.value == "X"
+        assert report.fbclid_param is None
+
     def test_fbp_only_drops_click_id_material(self):
         world = make_world(reporting_class=ReportingClass.FBP_ONLY)
         emissions = visit(world, f"https://{SITE}/?fbclid=X")

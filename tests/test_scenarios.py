@@ -15,7 +15,7 @@ from pixelsim.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from pixelsim.world import DAY_MS, ConsentMode, SiteConfig
+from pixelsim.world import DAY_MS, ConsentMode, ExpirationPolicy, SiteConfig
 from helpers import random_scenario
 
 
@@ -107,6 +107,42 @@ class TestValidation:
             run(scenario)
         assert excinfo.value.step_index == 0
 
+    @pytest.mark.parametrize("action, params", [
+        ("Visit", {}), ("Reload", {}), ("InjectFbclid", {"value": "X"}),
+    ])
+    @pytest.mark.parametrize("site, consent_mode", [
+        ({"has_pixel": False}, ConsentMode.ACCEPT_ALL),
+        ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
+        ({"consent_compliant": True}, ConsentMode.REJECT_ALL),
+    ], ids=["no-pixel", "blocked", "consent-blocked"])
+    def test_page_event_rejects_unknown_browser_where_the_pixel_is_off(
+        self, action, params, site, consent_mode
+    ):
+        scenario = simple_scenario(
+            sites=[SiteConfig(domain="shop.example"), SiteConfig(domain="off.example", **site)],
+            consent_mode=consent_mode,
+            steps=[
+                Step(1, "Visit", {"browser": "b1", "site": "shop.example"}),
+                Step(2, action, {"browser": "ghost", "site": "off.example", **params}),
+            ],
+        )
+        with pytest.raises(ValidationError, match="ghost") as excinfo:
+            run(scenario)
+        assert excinfo.value.step_index == 1
+
+    @pytest.mark.parametrize("field, value, step_index", [
+        ("consent_mode", "AcceptAll", None),
+        ("sites", [{"domain": "shop.example"}], None),
+        ("steps", [Step(10, "Visit", {"browser": "b1", "site": "shop.example"}),
+                   (20, "Reload", {"browser": "b1", "site": "shop.example"})], 1),
+    ], ids=["consent-mode-a-string", "site-a-dict", "step-a-tuple"])
+    def test_scenario_built_in_python_is_checked(self, field, value, step_index):
+        ran = []
+        with pytest.raises(ValidationError) as excinfo:
+            run(simple_scenario(**{field: value}), observe=lambda step, world: ran.append(step))
+        assert excinfo.value.step_index == step_index
+        assert ran == []
+
     def test_platform_click_requires_prior_load(self):
         scenario = simple_scenario(
             steps=[
@@ -178,6 +214,23 @@ class TestExecution:
         result = run(scenario)
         hop0 = [r.report.fbp for r in result.log if r.hop == 0]
         assert hop0[0] != hop0[1]  # deletion forced a fresh cookie
+
+    def test_delete_cookie_creates_no_jar_and_needs_a_known_site(self):
+        delete = {"browser": "b1", "name": FBP_NAME}
+        scenario = simple_scenario(
+            sites=[SiteConfig(domain="a.example"), SiteConfig(domain="b.example")],
+            steps=[
+                Step(1, "Visit", {"browser": "b1", "site": "a.example"}),
+                Step(2, "DeleteCookie", {**delete, "site": "b.example"}),
+                Step(3, "DeleteCookie", {**delete, "site": "nowhere.example"}),
+            ],
+        )
+        jars = []
+        with pytest.raises(ValidationError, match="nowhere.example") as excinfo:
+            run(scenario, observe=lambda step, world: jars.append(sorted(
+                world.snapshot()["browsers"]["b1"]["jars"])))
+        assert excinfo.value.step_index == 2
+        assert jars == [["a.example"], ["a.example"]]
 
     def test_incognito_browser_gets_fresh_cookie_each_step(self):
         scenario = simple_scenario(

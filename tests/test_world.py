@@ -15,6 +15,7 @@ from pixelsim.errors import (
 from pixelsim.world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
+    CookieEntry,
     CookieJar,
     ExternalIdRegistry,
     SimClock,
@@ -63,6 +64,14 @@ class TestCookieJar:
         jar.touch("c", 500)
         entry = jar.read_entry("c", 60)
         assert (entry.value, entry.created, entry.expires) == ("v", 0, 500)
+
+    def test_touch_leaves_an_entry_read_before_it(self):
+        jar = CookieJar()
+        jar.write("c", "v", created=0, expires=100)
+        before = jar.read_entry("c", 0)
+        jar.touch("c", 500)
+        assert before.expires == 100
+        assert jar.read_entry("c", 0) == CookieEntry("v", 0, 500)
 
     def test_delete_is_idempotent(self):
         jar = CookieJar()
@@ -201,3 +210,9 @@ class TestExternalIdRegistry:
             external_id_default_when_anonymous=True,
         )
         assert reg.get(site, "b1") == reg.get(site, "b2") == reg.get(site, "b3")
+
+    def test_non_sharing_site_hands_out_no_id(self):
+        reg = ExternalIdRegistry(seed=5)
+        assert reg.get(SiteConfig(domain="a.example"), "b1") is None
+        site = SiteConfig(domain="a.example", external_id_default_when_anonymous=True)
+        assert reg.get(site, "b1") is None
