@@ -189,7 +189,7 @@ def experiment_expiration(
         # Only a site's own steps touch the crawler's jar for that site, so
         # right after its step the jar holds what a whole crawl pass leaves.
         entry = world.browser("crawler").jar(step.params["site"]).entries.get(FBP_NAME)
-        passes[step.params["site"]].append((entry, world.clock.now))
+        passes[step.params["site"]].append((entry, world.now))
 
     result = run(
         Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps),

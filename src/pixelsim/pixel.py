@@ -91,7 +91,7 @@ def _consent_blocks(world: World, site: SiteConfig) -> bool:
 
 def _mint_fbp(world: World, site: SiteConfig, jar: CookieJar) -> None:
     """Write a fresh browser-ID cookie, drawing its random number."""
-    now = world.clock.now
+    now = world.now
     cookie = FbpCookie(
         subdomain_index=site.subdomain_index, creation_time=now,
         random_number=world.next_random_number(),
@@ -114,7 +114,7 @@ def apply_expiration_policy(world: World, site: SiteConfig, jar: CookieJar,
     if policy is ExpirationPolicy.ROTATE_VALUE:
         _mint_fbp(world, site, jar)
     else:
-        jar.touch(FBP_NAME, world.clock.now + COOKIE_LIFETIME_MS)
+        jar.touch(FBP_NAME, world.now + COOKIE_LIFETIME_MS)
 
 
 def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventName,
@@ -125,7 +125,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
             or _consent_blocks(world, site)):
         return PageEmissions(url.origin, browser_id)
 
-    now = world.clock.now
+    now = world.now
     jar = browser.jar(site.domain)
 
     if jar.read(FBP_NAME, now) is None:

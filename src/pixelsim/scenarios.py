@@ -24,10 +24,10 @@ from .pixel import EmissionRecord, PageEmissions, on_page_event
 from .reporting import MetricsReport
 from .social import PlatformFeed
 from .tracker import IdentityGraph
-from .world import DAY_MS, ConsentMode, SiteConfig, World
+from .world import ConsentMode, SiteConfig, World
 
-# Every integer of a scenario (seed, ticks, step fields) is below this in
-# magnitude, so that each value a run derives from it prints as a decimal.
+# A scenario's seed and ticks are below this in magnitude, so that each
+# value a run derives from them prints as a decimal.
 INT_LIMIT = 2**63
 
 
@@ -59,15 +59,22 @@ class Scenario:
 
     def validate(self) -> tuple[list[Browser], list[Action]]:
         """Decode the seed, the browsers and every step, and check the types
-        of the consent mode, sites and steps, the ticks, and that no site or
-        browser is listed twice; returns the decoded browsers and actions,
-        which ``run`` uses."""
+        of the consent mode, the lists, sites and steps, each site's domain,
+        the ticks, and that no site or browser is listed twice; returns the
+        decoded browsers and actions, which ``run`` uses."""
         _decode(int, self.seed, "seed")
         if not isinstance(self.consent_mode, ConsentMode):
             raise ValidationError(f"consent_mode {_shown(self.consent_mode)} is not a ConsentMode")
+        for name in "sites", "browsers", "steps":
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValidationError(f"{name} must be a list, not {_shown(getattr(self, name))}")
         for i, site in enumerate(self.sites):
             if not isinstance(site, SiteConfig):
                 raise ValidationError(f"sites[{i}] {_shown(site)} is not a SiteConfig")
+            # TrackedUrl.parse splits a URL's origin off at the first '/' or '?'.
+            domain = site.domain
+            if type(domain) is not str or not domain or "/" in domain or "?" in domain:
+                raise ValidationError(f"sites[{i}] domain {_shown(domain)} is not a URL origin")
         browsers = [_decode(Browser, b, f"browsers[{i}]") for i, b in enumerate(self.browsers)]
         domains, ids = [s.domain for s in self.sites], [b.id for b in browsers]
         for kind, names in ("site", domains), ("browser", ids):
@@ -75,7 +82,7 @@ class Scenario:
             if repeated:
                 raise ValidationError(f"{kind} {repeated[0]!r} is listed twice")
         actions: list[Action] = []
-        last_tick = None
+        last_tick = -1
         for i, step in enumerate(self.steps):
             try:
                 if not isinstance(step, Step):
@@ -83,8 +90,8 @@ class Scenario:
                 if type(step.tick) is not int:
                     raise ValidationError(f"tick must be an int, not {_shown(step.tick)}")
                 _bounded(step.tick, "tick")
-                if last_tick is not None and step.tick <= last_tick:
-                    raise ValidationError("step ticks must be strictly increasing")
+                if step.tick <= last_tick:
+                    raise ValidationError("ticks must be non-negative and strictly increasing")
                 cls = _ACTIONS.get(step.action) if type(step.action) is str else None
                 if cls is None:
                     raise ValidationError(f"unknown action {_shown(step.action)}")
@@ -131,9 +138,7 @@ def run(
     actions.reverse()
     for index, step in enumerate(scenario.steps):
         action = actions.pop()
-        if step.tick < world.clock.now:
-            raise ValidationError("tick precedes current time", index)
-        world.clock.advance(step.tick - world.clock.now)
+        world.now = step.tick
         try:
             page = action.apply(world, feed, graph)
         except SimulatorError as exc:
@@ -172,10 +177,10 @@ def run(
 
 
 # -- step actions: a step's params decode into the class named by its action.
-# ``apply`` runs once the clock reads the step's tick; a page event returns
+# ``apply`` runs once ``world.now`` is the step's tick; a page event returns
 # its emissions.  Actions, like ``Browser``, compare by identity and keep
 # object's repr: generating ``__eq__``, ``__hash__`` and ``__repr__`` for
-# these eleven classes adds about 7 ms to every import of the package.
+# these classes adds about 7 ms to every import of the package.
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -212,7 +217,7 @@ class PlatformLoad:
 
     def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
         world.account(self.account)
-        feed.refresh_click_ids(self.account, world.clock.now)
+        feed.refresh_click_ids(self.account, world.now)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -282,20 +287,6 @@ class DeleteCookie:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AdvanceDays:
-    """The clock moves ``days`` days on."""
-
-    days: int
-
-    def __post_init__(self):
-        if self.days < 0:
-            raise ValidationError(f"days must be non-negative, not {self.days!r}")
-
-    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> None:
-        world.clock.advance(self.days * DAY_MS)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class InjectFbclid:
     """``browser`` opens ``site`` with ``value`` as the URL's ``fbclid``."""
 
@@ -322,7 +313,7 @@ class RotateExternalId:
 
 
 Action = (Visit | Reload | PlatformLoad | PlatformClick | CreateAccount | Login
-          | DeleteCookie | AdvanceDays | InjectFbclid | RotateExternalId)
+          | DeleteCookie | InjectFbclid | RotateExternalId)
 _ACTIONS: dict[str, type[Action]] = {cls.__name__: cls for cls in typing.get_args(Action)}
 
 

@@ -1,8 +1,9 @@
-"""Entities of the simulated ecosystem: clock, browsers, cookie jars, sites.
+"""Entities of the simulated ecosystem: browsers, cookie jars, sites.
 
 A :class:`World` owns every piece of mutable state for one simulation run.
-All randomness flows from the single seeded generator it holds; nothing in
-the package ever reads the wall clock.
+Its clock, ``now``, is the tick of the step being run.  All randomness
+flows from the single seeded generator it holds; nothing in the package
+ever reads the wall clock.
 """
 
 from __future__ import annotations
@@ -53,16 +54,6 @@ class ConsentMode(Enum):
     ACCEPT_ALL = "AcceptAll"
     REJECT_ALL = "RejectAll"
     NO_ACTION = "NoAction"
-
-
-@dataclass
-class SimClock:
-    now: int = 0  # ms since UNIX epoch
-
-    def advance(self, delta_ms: int) -> None:
-        if delta_ms < 0:
-            raise ValueError("clock cannot move backwards")
-        self.now += delta_ms
 
 
 class CookieEntry(NamedTuple):
@@ -216,7 +207,7 @@ class World:
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        self.clock = SimClock()
+        self.now = 0  # ms since UNIX epoch: the current step's tick, 0 before the first
         self.browsers: dict[str, BrowserProfile] = {}
         self._spawn_rank: dict[str, int] = {}  # browser id -> its place in spawn order
         self._incognito_browsers: list[BrowserProfile] = []
@@ -249,7 +240,7 @@ class World:
     def create_account(self, account_id: str) -> Account:
         if account_id in self.accounts:
             raise DuplicateAccount(account_id)
-        account = Account(account_id=account_id, created_at=self.clock.now)
+        account = Account(account_id=account_id, created_at=self.now)
         self.accounts[account_id] = account
         return account
 
@@ -299,7 +290,7 @@ class World:
     def snapshot(self) -> dict:
         """Deterministic structured dump for golden-file comparisons."""
         return {
-            "now": self.clock.now,
+            "now": self.now,
             "browsers": {
                 bid: {
                     "incognito": b.incognito,

@@ -205,6 +205,19 @@ class TestReportDiff:
         assert diff.exit_code == 1
         assert "$.counters.x" in diff.output
 
+    @pytest.mark.parametrize("notes, path", [
+        (["x"], "$.notes.length: 2 != 1"),
+        (["x", "z"], "$.notes[1]: 'y' != 'z'"),
+    ], ids=["length", "element"])
+    def test_differing_lists(self, tmp_path, notes, path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"notes": ["x", "y"]}), encoding="utf-8")
+        b.write_text(json.dumps({"notes": notes}), encoding="utf-8")
+        diff = invoke("report", "diff", str(a), str(b))
+        assert diff.exit_code == 1
+        assert path in diff.output
+
     @pytest.mark.parametrize(
         "content", [b'{"a": 1', b'{"a": "\xff"}'], ids=["bad-json", "not-utf8"]
     )

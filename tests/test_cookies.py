@@ -155,6 +155,10 @@ class TestTrackedUrl:
         assert url.get("missing") is None
         assert TrackedUrl.parse(url.serialize()) == url
 
+    def test_empty_query_chunk_skipped(self):
+        url = TrackedUrl.parse("https://a.example/p?a=1&&b=2")
+        assert url.query == (("a", "1"), ("b", "2"))
+
     def test_with_param_replaces_all_occurrences(self):
         url = TrackedUrl.parse("https://a.example/?k=1&k=2&z=9")
         out = url.with_param("k", "new")

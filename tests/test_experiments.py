@@ -72,6 +72,10 @@ class TestProfiling:
         with pytest.raises(ValueError):
             experiment_expiration(10, policy_counts=[5, 5], seed=1)
 
+    def test_counts_must_sum_to_site_total(self):
+        with pytest.raises(ValueError, match="class counts do not sum"):
+            experiment_profiling(5, class_counts=[1, 1, 1, 1], seed=1)
+
 
 class TestExpiration:
     def test_observed_policies_match_configuration(self):

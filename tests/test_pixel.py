@@ -46,7 +46,7 @@ def expiry_after_revisit(policy, url=None, reload=False, **site_kwargs) -> int:
     """The _fbp expiry after a first visit and, a day later, a visit to ``url``."""
     world = make_world(expiration_policy=policy, **site_kwargs)
     visit(world)
-    world.clock.advance(DAY_MS)
+    world.now += DAY_MS
     visit(world, url, reload=reload)
     return jar(world).entries[FBP_NAME].expires
 
@@ -84,9 +84,9 @@ class TestVisitKinds:
 class TestCookieCreation:
     def test_first_visit_writes_fbp(self):
         world = make_world()
-        world.clock.advance(1234)
+        world.now += 1234
         emissions = visit(world)
-        entry = jar(world).read_entry(FBP_NAME, world.clock.now)
+        entry = jar(world).read_entry(FBP_NAME, world.now)
         cookie = parse_fbp(entry.value)
         assert cookie.subdomain_index == 2  # www.shoes.com relative to com
         assert cookie.creation_time == 1234
@@ -100,15 +100,15 @@ class TestCookieCreation:
     def test_fbp_stable_across_visits(self):
         world = make_world()
         first = visit(world)
-        world.clock.advance(DAY_MS)
+        world.now += DAY_MS
         second = visit(world)
         assert first[0].report.fbp == second[0].report.fbp
 
     def test_click_id_visit_writes_fbc(self):
         world = make_world()
-        world.clock.advance(77)
+        world.now += 77
         emissions = visit(world, f"https://{SITE}/?fbclid=SomeClickId")
-        raw = jar(world).read(FBC_NAME, world.clock.now)
+        raw = jar(world).read(FBC_NAME, world.now)
         cookie = parse_fbc(raw)
         assert cookie.fbclid.value == "SomeClickId"
         assert cookie.creation_time == 77
@@ -119,9 +119,9 @@ class TestCookieCreation:
     def test_fbc_refreshed_on_each_click_id(self):
         world = make_world()
         visit(world, f"https://{SITE}/?fbclid=First")
-        world.clock.advance(10)
+        world.now += 10
         visit(world, f"https://{SITE}/?fbclid=Second")
-        cookie = parse_fbc(jar(world).read(FBC_NAME, world.clock.now))
+        cookie = parse_fbc(jar(world).read(FBC_NAME, world.now))
         assert cookie.fbclid.value == "Second"
         assert cookie.creation_time == 10
 
@@ -143,7 +143,7 @@ class TestReportingClasses:
     def test_fbp_only_with_fbclid_reports_only_on_click(self):
         world = make_world(reporting_class=ReportingClass.FBP_ONLY_WITH_FBCLID)
         assert visit(world) == []
-        world.clock.advance(1)
+        world.now += 1
         emissions = visit(world, f"https://{SITE}/?fbclid=X")
         assert len(emissions) == 1
         assert emissions[0].report.fbc is not None
@@ -241,21 +241,21 @@ class TestExpirationPolicies:
             world = make_world(expiration_policy=ExpirationPolicy.EVERY_EVENT)
             visit(world)
             assert self._expiry(world) == COOKIE_LIFETIME_MS
-            world.clock.advance(gap * DAY_MS)
+            world.now += gap * DAY_MS
             visit(world)
             assert self._expiry(world) == (90 + gap) * DAY_MS
 
     def test_never_keeps_original_expiry(self):
         world = make_world(expiration_policy=ExpirationPolicy.NEVER)
         visit(world)
-        world.clock.advance(5 * DAY_MS)
+        world.now += 5 * DAY_MS
         visit(world)
         assert self._expiry(world) == COOKIE_LIFETIME_MS
 
     def test_expired_fbp_is_recreated(self):
         world = make_world(expiration_policy=ExpirationPolicy.NEVER)
         first = visit(world)[0].report.fbp
-        world.clock.advance(COOKIE_LIFETIME_MS)  # exactly at expiry: gone
+        world.now += COOKIE_LIFETIME_MS  # exactly at expiry: gone
         second = visit(world)[0].report.fbp
         assert first != second
         assert parse_fbp(second).creation_time == COOKIE_LIFETIME_MS
@@ -263,7 +263,7 @@ class TestExpirationPolicies:
     def test_only_fbclid_updates_on_click_visits_alone(self):
         world = make_world(expiration_policy=ExpirationPolicy.ONLY_FBCLID)
         visit(world)
-        world.clock.advance(DAY_MS)
+        world.now += DAY_MS
         visit(world)
         visit(world, reload=True)
         assert self._expiry(world) == COOKIE_LIFETIME_MS
@@ -273,7 +273,7 @@ class TestExpirationPolicies:
     def test_only_reload_updates_on_reloads_alone(self):
         world = make_world(expiration_policy=ExpirationPolicy.ONLY_RELOAD)
         visit(world)
-        world.clock.advance(DAY_MS)
+        world.now += DAY_MS
         visit(world)
         visit(world, f"https://{SITE}/?fbclid=X")
         assert self._expiry(world) == COOKIE_LIFETIME_MS
@@ -283,7 +283,7 @@ class TestExpirationPolicies:
     def test_rotate_value_issues_fresh_cookie(self):
         world = make_world(expiration_policy=ExpirationPolicy.ROTATE_VALUE)
         first = visit(world)[0].report.fbp
-        world.clock.advance(DAY_MS)
+        world.now += DAY_MS
         second = visit(world)[0].report.fbp
         assert first != second
         assert parse_fbp(first).subdomain_index == parse_fbp(second).subdomain_index
@@ -303,7 +303,7 @@ class TestExpirationPolicies:
                 entry = jar(world).entries[FBP_NAME]
                 if policy is ExpirationPolicy.ROTATE_VALUE:
                     assert entry.expires - entry.created == COOKIE_LIFETIME_MS
-                world.clock.advance(3 * DAY_MS)
+                world.now += 3 * DAY_MS
 
 
 class TestPropagation:

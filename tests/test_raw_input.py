@@ -157,7 +157,6 @@ SCENARIO = {
         {"tick": 5, "action": "InjectFbclid", "browser": "b2", "site": "news.example",
          "value": "Injected"},
         {"tick": 6, "action": "RotateExternalId", "browser": "b1", "site": SITE},
-        {"tick": 7, "action": "AdvanceDays", "days": 2},
         {"tick": 172_800_008, "action": "DeleteCookie", "browser": "b1", "site": SITE,
          "name": "_fbp"},
         {"tick": 172_800_009, "action": "Reload", "browser": "b1", "site": "news.example"},
@@ -225,6 +224,6 @@ class TestScenarios:
 
     @given(SCENARIO_EDITS)
     @example([(("seed",), HUGE)])
-    @example([(("steps", 9, "tick"), HUGE)])
+    @example([(("steps", 8, "tick"), HUGE)])
     def test_scenarios_run_or_raise_simulator_errors(self, edits):
         accepted(lambda: run(scenario_from_dict(edited(edits))))

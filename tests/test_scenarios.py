@@ -50,6 +50,16 @@ class TestValidation:
             scenario.validate()
         assert excinfo.value.step_index == 1
 
+    def test_negative_first_tick_rejected_before_any_step_runs(self):
+        scenario = simple_scenario(
+            steps=[Step(-5, "Visit", {"browser": "b1", "site": "shop.example"})]
+        )
+        ran = []
+        with pytest.raises(ValidationError, match="non-negative") as excinfo:
+            run(scenario, observe=lambda step, world: ran.append(step))
+        assert excinfo.value.step_index == 0
+        assert ran == []
+
     @pytest.mark.parametrize(
         "action, params",
         [
@@ -135,12 +145,34 @@ class TestValidation:
         ("sites", [{"domain": "shop.example"}], None),
         ("steps", [Step(10, "Visit", {"browser": "b1", "site": "shop.example"}),
                    (20, "Reload", {"browser": "b1", "site": "shop.example"})], 1),
-    ], ids=["consent-mode-a-string", "site-a-dict", "step-a-tuple"])
+        ("sites", None, None),
+        ("browsers", None, None),
+        ("steps", None, None),
+        ("sites", (SiteConfig(domain=d) for d in ["shop.example"]), None),
+    ], ids=["consent-mode-a-string", "site-a-dict", "step-a-tuple", "sites-none",
+            "browsers-none", "steps-none", "sites-a-generator"])
     def test_scenario_built_in_python_is_checked(self, field, value, step_index):
         ran = []
         with pytest.raises(ValidationError) as excinfo:
             run(simple_scenario(**{field: value}), observe=lambda step, world: ran.append(step))
         assert excinfo.value.step_index == step_index
+        assert ran == []
+
+    def test_tuples_serve_as_lists(self):
+        scenario = simple_scenario()
+        as_tuples = simple_scenario(sites=tuple(scenario.sites),
+                                    browsers=tuple(scenario.browsers), steps=tuple(scenario.steps))
+        assert run(as_tuples).world.snapshot() == run(scenario).world.snapshot()
+
+    @pytest.mark.parametrize("domain", ["", "x/y", "a?b=c", None, 5])
+    def test_site_domain_no_url_can_carry_is_rejected(self, domain):
+        scenario = simple_scenario(
+            sites=[SiteConfig(domain="shop.example"), SiteConfig(domain=domain, pixel_id="px")]
+        )
+        ran = []
+        with pytest.raises(ValidationError, match=r"sites\[1\]") as excinfo:
+            run(scenario, observe=lambda step, world: ran.append(step))
+        assert excinfo.value.step_index is None
         assert ran == []
 
     def test_platform_click_requires_prior_load(self):
@@ -152,6 +184,20 @@ class TestValidation:
         )
         with pytest.raises(ValidationError):
             run(scenario)
+
+    def test_click_without_browser_needs_one_still_logged_in(self):
+        # b1 moves on to u2, so no browser is logged into u1 any more.
+        scenario = simple_scenario(
+            steps=[
+                Step(1, "CreateAccount", {"browser": "b1", "account": "u1"}),
+                Step(2, "CreateAccount", {"browser": "b1", "account": "u2"}),
+                Step(3, "PlatformLoad", {"account": "u1"}),
+                Step(4, "PlatformClick", {"account": "u1", "site": "shop.example"}),
+            ]
+        )
+        with pytest.raises(ValidationError, match="no browser logged into account") as excinfo:
+            run(scenario)
+        assert excinfo.value.step_index == 3
 
 
 class TestExecution:
@@ -207,7 +253,6 @@ class TestExecution:
                     "DeleteCookie",
                     {"browser": "b1", "site": "shop.example", "name": FBP_NAME},
                 ),
-                Step(3, "AdvanceDays", {"days": 2}),
                 Step(2 * DAY_MS + 4, "Visit", {"browser": "b1", "site": "shop.example"}),
             ]
         )

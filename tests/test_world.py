@@ -1,4 +1,4 @@
-"""Clock, cookie jar, browser, and world-state tests."""
+"""Cookie jar, browser, and world-state tests."""
 
 import random
 
@@ -18,20 +18,9 @@ from pixelsim.world import (
     CookieEntry,
     CookieJar,
     ExternalIdRegistry,
-    SimClock,
     SiteConfig,
     World,
 )
-
-
-class TestClock:
-    def test_advances_monotonically(self):
-        clock = SimClock()
-        clock.advance(5)
-        clock.advance(0)
-        assert clock.now == 5
-        with pytest.raises(ValueError):
-            clock.advance(-1)
 
 
 class TestCookieJar:
@@ -41,6 +30,12 @@ class TestCookieJar:
         assert jar.read("c", 99) == "v"
         assert jar.read("c", 100) is None
         assert jar.read("c", 101) is None
+
+    def test_read_entry_absent_at_expiry(self):
+        jar = CookieJar()
+        jar.write("c", "v", created=0, expires=100)
+        assert jar.read_entry("c", 99) == CookieEntry("v", 0, 100)
+        assert jar.read_entry("c", 100) is None
 
     def test_write_requires_future_expiry(self):
         jar = CookieJar()
@@ -142,14 +137,14 @@ class TestWorld:
         for bid in ("priv", "norm"):
             world.browser(bid).jar("a.example").write("_fbp", "fb.1.0.1", 0, DAY_MS)
         world.end_step()
-        assert world.browser("priv").jar("a.example").read("_fbp", world.clock.now) is None
-        assert world.browser("norm").jar("a.example").read("_fbp", world.clock.now) == "fb.1.0.1"
+        assert world.browser("priv").jar("a.example").read("_fbp", world.now) is None
+        assert world.browser("norm").jar("a.example").read("_fbp", world.now) == "fb.1.0.1"
 
     def test_jars_are_domain_scoped(self):
         world = World(seed=1)
         world.spawn_browser("b1")
         world.browser("b1").jar("a.example").write("_fbp", "x", 0, 100)
-        assert world.browser("b1").jar("b.example").read("_fbp", world.clock.now) is None
+        assert world.browser("b1").jar("b.example").read("_fbp", world.now) is None
 
     def test_random_number_range_and_determinism(self):
         a, b = World(seed=9), World(seed=9)
