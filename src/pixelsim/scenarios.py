@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 import typing
 from collections import Counter
@@ -120,60 +121,71 @@ class RunResult:
 def run(
     scenario: Scenario, observe: Callable[[Step, World], None] | None = None
 ) -> RunResult:
-    """Execute ``scenario``; ``observe(step, world)`` runs after each step."""
-    browsers, actions = scenario.validate()
-    world = World(seed=scenario.seed)
-    world.consent_mode = scenario.consent_mode
-    feed = PlatformFeed(seed=scenario.seed)
-    graph = IdentityGraph(click_ledger=feed)
-    for config in scenario.sites:
-        world.add_site(config)
-    for browser in browsers:
-        world.spawn_browser(browser.id, incognito=browser.incognito, user_agent=browser.user_agent)
+    """Execute ``scenario``; ``observe(step, world)`` runs after each step.
 
-    emissions: list[PageEmissions] = []
+    Automatic garbage collection is paused for the run, ``observe`` included,
+    and then left on or off as the caller had it."""
+    # The state a run builds holds no reference cycles, so a collection inside
+    # the run frees nothing, while each full collection walks the whole heap.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        browsers, actions = scenario.validate()
+        world = World(seed=scenario.seed)
+        world.consent_mode = scenario.consent_mode
+        feed = PlatformFeed(seed=scenario.seed)
+        graph = IdentityGraph(click_ledger=feed)
+        for config in scenario.sites:
+            world.add_site(config)
+        for browser in browsers:
+            world.spawn_browser(browser.id, incognito=browser.incognito,
+                                user_agent=browser.user_agent)
 
-    # Popped in step order, so each action is freed once it has run; holding
-    # all of them to the end of the run cost extra full garbage collections.
-    actions.reverse()
-    for index, step in enumerate(scenario.steps):
-        action = actions.pop()
-        world.now = step.tick
-        try:
-            page = action.apply(world, feed, graph)
-        except SimulatorError as exc:
-            raise ValidationError(str(exc), index) from exc
-        if page is not None:
-            emissions.append(page)
-            if page.report is not None:
-                graph.ingest(page.report)
-        world.end_step()
-        if observe is not None:
-            observe(step, world)
+        emissions: list[PageEmissions] = []
 
-    hop0 = sum(1 for page in emissions if page.report is not None)
-    hop1 = sum(len(page.fanout) for page in emissions)
-    hop2 = sum(len(forwardees) for page in emissions for _, forwardees in page.fanout)
-    report = MetricsReport(
-        counters={
-            "emissions_total": hop0 + hop1 + hop2,
-            "emissions_hop0": hop0,
-            "emissions_hop1": hop1,
-            "emissions_hop2": hop2,
-            "profiles": len(graph.profiles()),
-            "links": len(graph.resolve()),
-            "anomalies": len(graph.anomalies),
-            "orphans": len(graph.orphans),
-        }
-    )
-    return RunResult(
-        scenario=scenario,
-        world=world,
-        feed=feed,
-        graph=graph,
-        emissions=emissions,
-        report=report,
-    )
+        # Popped in step order, so each action is freed once it has run.
+        actions.reverse()
+        for index, step in enumerate(scenario.steps):
+            action = actions.pop()
+            world.now = step.tick
+            try:
+                page = action.apply(world, feed, graph)
+            except SimulatorError as exc:
+                raise ValidationError(str(exc), index) from exc
+            if page is not None:
+                emissions.append(page)
+                if page.report is not None:
+                    graph.ingest(page.report)
+            world.end_step()
+            if observe is not None:
+                observe(step, world)
+
+        hop0 = sum(1 for page in emissions if page.report is not None)
+        hop1 = sum(len(page.fanout) for page in emissions)
+        hop2 = sum(len(forwardees) for page in emissions for _, forwardees in page.fanout)
+        report = MetricsReport(
+            counters={
+                "emissions_total": hop0 + hop1 + hop2,
+                "emissions_hop0": hop0,
+                "emissions_hop1": hop1,
+                "emissions_hop2": hop2,
+                "profiles": len(graph.profiles()),
+                "links": len(graph.resolve()),
+                "anomalies": len(graph.anomalies),
+                "orphans": len(graph.orphans),
+            }
+        )
+        return RunResult(
+            scenario=scenario,
+            world=world,
+            feed=feed,
+            graph=graph,
+            emissions=emissions,
+            report=report,
+        )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 # -- step actions: a step's params decode into the class named by its action.

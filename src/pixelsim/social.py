@@ -30,8 +30,10 @@ class ClickIdArray(Sequence[Fbclid]):
     the first time it is read; later reads return the same object.
     """
 
-    def __init__(self, feed: PlatformFeed, account_id: str, counter: int):
-        self._feed = feed
+    def __init__(self, seed: int, issued: set[str], account_id: str, counter: int):
+        # Not the feed itself: it holds its current loads, so that would be a cycle.
+        self._seed = seed
+        self._issued = issued
         self._account_id = account_id
         self._counter = counter
         self._ids: list[Fbclid | None] = [None] * ARRAY_SIZE
@@ -45,7 +47,7 @@ class ClickIdArray(Sequence[Fbclid]):
         click_id = self._ids[index]
         if click_id is None:
             slot = index % ARRAY_SIZE
-            click_id = self._feed._issue(self._account_id, self._counter, slot)
+            click_id = _issue(self._seed, self._issued, self._account_id, self._counter, slot)
             self._ids[slot] = click_id
         return click_id
 
@@ -75,6 +77,18 @@ def _derive_click_id(seed: int, account_id: str, counter: int, slot: int, nonce:
     return Fbclid(digest[:CLICK_ID_LENGTH].translate(_CLICK_ID_TABLE).decode("ascii"))
 
 
+def _issue(seed: int, issued: set[str], account_id: str, counter: int, slot: int) -> Fbclid:
+    nonce = 0
+    click_id = _derive_click_id(seed, account_id, counter, slot, nonce)
+    # Cross-load freshness is enforced, not just assumed: regenerate
+    # on the (practically impossible) digest collision.
+    while click_id.value in issued:
+        nonce += 1
+        click_id = _derive_click_id(seed, account_id, counter, slot, nonce)
+    issued.add(click_id.value)
+    return click_id
+
+
 class PlatformFeed:
     """Issues click IDs and keeps the account-to-ID ledger."""
 
@@ -93,21 +107,10 @@ class PlatformFeed:
             load_id=f"{account_id}#{counter}",
             account_id=account_id,
             tick=tick,
-            click_ids=ClickIdArray(self, account_id, counter),
+            click_ids=ClickIdArray(self._seed, self._issued_values, account_id, counter),
         )
         self.current_loads[account_id] = load
         return load
-
-    def _issue(self, account_id: str, counter: int, slot: int) -> Fbclid:
-        nonce = 0
-        click_id = _derive_click_id(self._seed, account_id, counter, slot, nonce)
-        # Cross-load freshness is enforced, not just assumed: regenerate
-        # on the (practically impossible) digest collision.
-        while click_id.value in self._issued_values:
-            nonce += 1
-            click_id = _derive_click_id(self._seed, account_id, counter, slot, nonce)
-        self._issued_values.add(click_id.value)
-        return click_id
 
     def decorate_outbound(
         self, load: PageLoad, target_url: TrackedUrl, element_class: str

@@ -11,6 +11,7 @@ action, and any JSON-like value put into it either runs or raises a
 
 import copy
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from pixelsim.cookies import (
@@ -217,13 +218,25 @@ def edited(edits) -> dict:
     return data
 
 
+# ``edited`` skips an edit whose path leads nowhere, so a test checks that each
+# of these still reaches a value of ``SCENARIO``.
+PINNED_EDITS = (
+    [(("seed",), HUGE)],
+    [(("steps", 8, "tick"), HUGE)],
+)
+
+
 class TestScenarios:
     def test_base_scenario_runs_every_action(self):
         result = run(scenario_from_dict(edited([])))
         assert result.graph.resolve() and result.report.counters["emissions_hop2"]
 
     @given(SCENARIO_EDITS)
-    @example([(("seed",), HUGE)])
-    @example([(("steps", 8, "tick"), HUGE)])
+    @example(PINNED_EDITS[0])
+    @example(PINNED_EDITS[1])
     def test_scenarios_run_or_raise_simulator_errors(self, edits):
         accepted(lambda: run(scenario_from_dict(edited(edits))))
+
+    @pytest.mark.parametrize("edits", PINNED_EDITS)
+    def test_pinned_edits_reach_their_paths(self, edits):
+        assert {path for path, _ in edits} <= set(paths(SCENARIO))

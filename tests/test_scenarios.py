@@ -1,5 +1,6 @@
 """Scenario validation, execution, determinism, and JSON round-trips."""
 
+import gc
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from pixelsim.scenarios import (
 )
 from pixelsim.world import DAY_MS, ConsentMode, ExpirationPolicy, SiteConfig
 from helpers import random_scenario
+from test_raw_input import SCENARIO as EVERY_ACTION
 
 
 def simple_scenario(**kwargs) -> Scenario:
@@ -339,6 +341,88 @@ class TestExecution:
         assert len(scenario.steps) > 1
         assert len(seen) == len(scenario.steps)
         assert all(a is b for a, b in zip(seen, scenario.steps))
+
+
+def click_scenario() -> Scenario:
+    """Two accounts, each loading the feed twice and clicking out after each load."""
+    steps = []
+    for account, browser in ("u1", "b1"), ("u2", "b2"):
+        steps.append(Step(len(steps) + 1, "CreateAccount",
+                          {"browser": browser, "account": account}))
+    for _ in range(2):
+        for account in "u1", "u2":
+            steps.append(Step(len(steps) + 1, "PlatformLoad", {"account": account}))
+            for element_class in "ad-card", "banner":
+                steps.append(Step(len(steps) + 1, "PlatformClick", {
+                    "account": account, "site": "shop.example", "element_class": element_class}))
+    return simple_scenario(browsers=[{"id": "b1"}, {"id": "b2"}], steps=steps)
+
+
+@pytest.fixture
+def gc_restored():
+    """Leaves automatic garbage collection as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGarbageCollection:
+    """``run`` pauses automatic collection, which is safe only while a run
+    builds no reference cycles."""
+
+    def test_a_dropped_run_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        start = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for scenario in scenario_from_dict(EVERY_ACTION), click_scenario():
+                result = run(scenario)
+                assert result.feed.ledger
+            del result
+            gc.collect()
+            cyclic = sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
+                             for obj in gc.garbage[start:]})
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[start:]
+        assert [name for name in cyclic if name.startswith("pixelsim.")] == []
+
+    def test_collector_is_enabled_again_after_a_run(self, gc_restored):
+        gc.enable()
+        run(click_scenario())
+        assert gc.isenabled()
+
+    def test_collector_is_enabled_again_after_a_failed_step(self, gc_restored):
+        steps = click_scenario().steps[:2] + [
+            Step(10, "Visit", {"browser": "ghost", "site": "shop.example"})]
+        gc.enable()
+        with pytest.raises(ValidationError) as excinfo:
+            run(simple_scenario(browsers=[{"id": "b1"}, {"id": "b2"}], steps=steps))
+        assert excinfo.value.step_index == 2
+        assert gc.isenabled()
+
+    def test_collector_is_enabled_again_after_observe_raises(self, gc_restored):
+        def observe(step, world):
+            raise RuntimeError("observer failed")
+
+        gc.enable()
+        with pytest.raises(RuntimeError, match="observer failed"):
+            run(simple_scenario(), observe=observe)
+        assert gc.isenabled()
+
+    def test_collector_disabled_by_the_caller_stays_disabled(self, gc_restored):
+        gc.disable()
+        run(click_scenario())
+        assert not gc.isenabled()
+
+    def test_observe_runs_while_the_collector_is_paused(self, gc_restored):
+        gc.enable()
+        seen = []
+        run(click_scenario(), observe=lambda step, world: seen.append(gc.isenabled()))
+        assert seen and not any(seen)
 
 
 class TestRotateExternalId:
