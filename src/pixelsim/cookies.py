@@ -46,7 +46,7 @@ class EventName(Enum):
     PAGE_VIEW = "PageView"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fbclid:
     """A click-ID value.
 
@@ -73,7 +73,7 @@ class Fbclid:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FbpCookie:
     """Parsed browser-ID cookie: ``fb.<subdomainIndex>.<creationTime>.<randomNumber>``."""
 
@@ -83,7 +83,7 @@ class FbpCookie:
     version: str = COOKIE_VERSION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FbcCookie:
     """Parsed click-ID cookie: ``fb.<subdomainIndex>.<creationTime>.<fbclid>``."""
 

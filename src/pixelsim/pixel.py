@@ -38,7 +38,7 @@ FBP_NAME = "_fbp"
 FBC_NAME = "_fbc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmissionRecord:
     report: EventReport
     hop: int  # 0 tracker, 1 first-hop third party, 2 second-hop
@@ -46,7 +46,7 @@ class EmissionRecord:
     browser_id: str  # the browser that made the visit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageEmissions:
     """Everything one page event sent.
 

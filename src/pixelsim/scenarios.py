@@ -32,7 +32,7 @@ from .world import ConsentMode, SiteConfig, World
 INT_LIMIT = 2**63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One step as written: ``params`` holds the fields of the ``action`` class."""
 
@@ -41,7 +41,7 @@ class Step:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Browser:
     """A scenario's browser entry."""
 
@@ -195,7 +195,7 @@ def run(
 # these classes adds about 7 ms to every import of the package.
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Visit:
     """``browser`` opens ``site``, with ``url_extras`` as the URL's query."""
 
@@ -209,7 +209,7 @@ class Visit:
         return on_page_event(world, self.browser, url, self.event)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Reload:
     """``browser`` reloads ``site``."""
 
@@ -221,7 +221,7 @@ class Reload:
         return on_page_event(world, self.browser, TrackedUrl(self.site), self.event, reload=True)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class PlatformLoad:
     """``account`` loads the platform feed, which hands out fresh click IDs."""
 
@@ -232,7 +232,7 @@ class PlatformLoad:
         feed.refresh_click_ids(self.account, world.now)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class PlatformClick:
     """A feed link to ``site``, decorated with a click ID, is clicked."""
 
@@ -258,7 +258,7 @@ class PlatformClick:
         return on_page_event(world, browser_id, decorated, self.event)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class CreateAccount:
     """``account`` is created and logged in on ``browser``."""
 
@@ -271,7 +271,7 @@ class CreateAccount:
         world.log_in(self.browser, self.account)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Login:
     """``browser`` logs into the existing ``account``."""
 
@@ -283,7 +283,7 @@ class Login:
         world.log_in(self.browser, self.account)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class DeleteCookie:
     """``browser`` deletes its cookie ``name`` for ``site``."""
 
@@ -298,7 +298,7 @@ class DeleteCookie:
             jar.delete(self.name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class InjectFbclid:
     """``browser`` opens ``site`` with ``value`` as the URL's ``fbclid``."""
 
@@ -312,7 +312,7 @@ class InjectFbclid:
         return on_page_event(world, self.browser, url, self.event)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class RotateExternalId:
     """``site`` hands ``browser`` a fresh external ID from now on."""
 

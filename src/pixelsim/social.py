@@ -30,6 +30,8 @@ class ClickIdArray(Sequence[Fbclid]):
     the first time it is read; later reads return the same object.
     """
 
+    __slots__ = ("_seed", "_issued", "_account_id", "_counter", "_ids")
+
     def __init__(self, seed: int, issued: set[str], account_id: str, counter: int):
         # Not the feed itself: it holds its current loads, so that would be a cycle.
         self._seed = seed
@@ -52,7 +54,7 @@ class ClickIdArray(Sequence[Fbclid]):
         return click_id
 
 
-@dataclass
+@dataclass(slots=True)
 class PageLoad:
     load_id: str
     account_id: str
@@ -61,7 +63,7 @@ class PageLoad:
     class_assignment: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClickLedgerEntry:
     fbclid: Fbclid
     account_id: str

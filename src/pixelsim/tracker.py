@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cookies import EventReport, parse_fbc, parse_fbp
+from .cookies import EventReport, TrackedUrl, parse_fbc, parse_fbp
 from .errors import MalformedCookie, MalformedReport, UnknownAccount
 from .social import PlatformFeed
 
@@ -29,7 +29,7 @@ class Activity(NamedTuple):
     page_url: str
 
 
-@dataclass(eq=False)  # compared and hashed by identity
+@dataclass(eq=False, slots=True)  # compared and hashed by identity
 class PseudonymProfile:
     keys: set[ProfileKey]
     min_key: ProfileKey  # the smallest of ``keys``
@@ -38,13 +38,13 @@ class PseudonymProfile:
     external_ids: set[str] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anomaly:
     kind: str
     detail: str
 
 
-@dataclass
+@dataclass(slots=True)
 class IngestOutcome:
     profile_key: ProfileKey | None = None
     linked_account: str | None = None
@@ -64,6 +64,9 @@ class IdentityGraph:
         self.anomalies: list[Anomaly] = []
         self.orphans: list[EventReport] = []
         self._seen_reports: set[EventReport] = set()
+        # One text per page without a query, shared by its activities; a
+        # query carries a per-click ID, so such a page is seldom seen twice.
+        self._page_text: dict[TrackedUrl, str] = {}
 
     # -- profile plumbing --------------------------------------------------
 
@@ -142,7 +145,10 @@ class IdentityGraph:
             outcome.merged = True
 
         if key is not None:
-            url = report.page_url.serialize()
+            page = report.page_url
+            url = page.serialize() if page.query else self._page_text.get(page)
+            if url is None:
+                url = self._page_text[page] = page.serialize()
             insort(profile.activity, Activity(report.timestamp, site, report.event.value, url))
         if report.external_id:  # an empty ID is absent, as in has_identifier
             self._external_index[(site, report.external_id)] = profile.min_key

@@ -69,6 +69,8 @@ class CookieJar:
     and evicted on the next write.
     """
 
+    __slots__ = ("entries",)
+
     def __init__(self):
         self.entries: dict[str, CookieEntry] = {}
 
@@ -104,7 +106,7 @@ class CookieJar:
             del self.entries[n]
 
 
-@dataclass
+@dataclass(slots=True)
 class BrowserProfile:
     browser_id: str
     incognito: bool = False
@@ -159,7 +161,7 @@ class SiteConfig:
         return tuple((tp, forwarding.get(tp, ())) for tp in self.first_hop_third_parties)
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     account_id: str
     created_at: int  # ms

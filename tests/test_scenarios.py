@@ -1,5 +1,6 @@
 """Scenario validation, execution, determinism, and JSON round-trips."""
 
+import dataclasses
 import gc
 import json
 
@@ -490,7 +491,8 @@ class TestDeterminism:
 def decoded(scenario: Scenario) -> list:
     """Each decoded browser and action as its class and field values."""
     browsers, actions = scenario.validate()
-    return [(type(value), vars(value)) for value in browsers + actions]
+    return [(type(value), {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+            for value in browsers + actions]
 
 
 class TestScenarioFiles:

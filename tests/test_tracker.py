@@ -14,9 +14,11 @@ from pixelsim.cookies import (
     encode_report,
 )
 from pixelsim.errors import MalformedReport, UnknownAccount
+from pixelsim.scenarios import Scenario, Step, run
 from pixelsim.social import PlatformFeed
 from pixelsim.tracker import Activity, IdentityGraph
-from helpers import external_id_components
+from pixelsim.world import SiteConfig
+from helpers import external_id_components, random_scenario
 
 SITE = "shop.example"
 
@@ -415,3 +417,42 @@ class TestInvariants:
                 for r in received if (r.page_url.origin, r.fbp) in profile.keys
             ]
             assert profile.activity == sorted(expected)
+
+
+class _Unshared(dict):
+    """A page-text table that keeps nothing, so every activity serializes its page."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestPageText:
+    def test_pages_without_a_query_share_one_text(self):
+        extras = (("utm_source", "feed"), ("q", "a b"))
+        scenario = Scenario(
+            seed=1,
+            sites=[SiteConfig(domain=SITE)],
+            browsers=[{"id": "b1"}],
+            steps=[
+                Step(10, "Visit", {"browser": "b1", "site": SITE}),
+                Step(20, "Visit", {"browser": "b1", "site": SITE}),
+                Step(30, "Visit", {"browser": "b1", "site": SITE,
+                                   "url_extras": [list(pair) for pair in extras]}),
+            ],
+        )
+        (profile,) = run(scenario).graph.profiles()
+        first, second, with_query = (a.page_url for a in profile.activity)
+        assert first is second
+        assert first == f"https://{SITE}/"
+        assert with_query == TrackedUrl(SITE, query=extras).serialize()
+
+    def test_sharing_leaves_the_dump_unchanged(self):
+        for seed in range(50):
+            result = run(random_scenario(seed))
+            reports = [page.report for page in result.emissions if page.report is not None]
+            unshared = IdentityGraph(click_ledger=result.feed)
+            unshared._page_text = _Unshared()
+            for report in reports:
+                unshared.ingest(report)
+            expected = json.dumps(unshared.dump(), sort_keys=True, indent=2)
+            assert json.dumps(result.graph.dump(), sort_keys=True, indent=2) == expected, seed
