@@ -14,7 +14,6 @@ from .cookies import (
     parse_fbp,
     serialize_fbc,
     serialize_fbp,
-    subdomain_index,
 )
 from .pixel import EmissionRecord, PageEmissions, on_page_event
 from .reporting import (

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 from urllib.parse import quote, unquote
 
-from .errors import DomainMismatch, MalformedCookie, MalformedReport
+from .errors import MalformedCookie, MalformedReport
 
 # 26 + 26 + 10 + 2 = 64 symbols; every canonical click ID is drawn from these.
 CLICK_ID_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "-_"
@@ -136,19 +136,6 @@ def parse_fbc(s: str) -> FbcCookie:
 
 def serialize_fbc(c: FbcCookie) -> str:
     return f"{c.version}.{c.subdomain_index}.{c.creation_time}.{c.fbclid.value}"
-
-
-def subdomain_index(cookie_domain: str, registrable_suffix: str) -> int:
-    """Label depth of the cookie domain relative to its registrable suffix.
-
-    ``("com", "com") -> 0``, ``("shoes.com", "com") -> 1``,
-    ``("www.shoes.com", "com") -> 2``.
-    """
-    if cookie_domain != registrable_suffix and not cookie_domain.endswith(
-        "." + registrable_suffix
-    ):
-        raise DomainMismatch(f"{registrable_suffix!r} is not a suffix of {cookie_domain!r}")
-    return len(cookie_domain.split(".")) - len(registrable_suffix.split("."))
 
 
 class TrackedUrl(NamedTuple):

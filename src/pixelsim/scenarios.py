@@ -172,7 +172,7 @@ def run(
                 "profiles": len(graph.profiles()),
                 "links": len(graph.resolve()),
                 "anomalies": len(graph.anomalies),
-                "orphans": len(graph.orphans),
+                "orphans": graph.orphans,
             }
         )
         return RunResult(

@@ -31,8 +31,7 @@ class Activity(NamedTuple):
 
 @dataclass(eq=False, slots=True)  # compared and hashed by identity
 class PseudonymProfile:
-    keys: set[ProfileKey]
-    min_key: ProfileKey  # the smallest of ``keys``
+    keys: list[ProfileKey]  # sorted; ``keys[0]`` is the profile's key
     activity: list[Activity] = field(default_factory=list)
     linked_account: str | None = None
     external_ids: set[str] = field(default_factory=set)
@@ -62,7 +61,7 @@ class IdentityGraph:
         self._external_index: dict[tuple[str, str], ProfileKey] = {}
         self.known_accounts: set[str] = set()
         self.anomalies: list[Anomaly] = []
-        self.orphans: list[EventReport] = []
+        self.orphans = 0  # reports that carried no identifier
         self._seen_reports: set[EventReport] = set()
         # One text per page without a query, shared by its activities; a
         # query carries a per-click ID, so such a page is seldom seen twice.
@@ -91,10 +90,10 @@ class IdentityGraph:
                 )
             )
             return False
-        a.keys |= b.keys
-        a.min_key = min(a.min_key, b.min_key)
-        # Both lists are sorted, so the stable sort is one linear merge pass,
-        # and on equal keys ``a``'s come first, as with insort.
+        # Each pair of lists is sorted, so each stable sort is one linear
+        # merge pass; on equal activities ``a``'s come first, as with insort.
+        a.keys += b.keys
+        a.keys.sort()
         a.activity += b.activity
         a.activity.sort()
         a.external_ids |= b.external_ids
@@ -111,7 +110,7 @@ class IdentityGraph:
         outcome = IngestOutcome()
 
         if not report.has_identifier():
-            self.orphans.append(report)
+            self.orphans += 1
             outcome.orphan = True
             return outcome
         if report in self._seen_reports:
@@ -132,12 +131,11 @@ class IdentityGraph:
             profile = bound
         elif profile is None:
             if bound is None:
-                profile = PseudonymProfile(keys={key}, min_key=key)
+                profile = PseudonymProfile(keys=[key])
             else:
                 # A new cookie joins the bound profile, which counts as a merge.
                 profile = bound
-                profile.keys.add(key)
-                profile.min_key = min(profile.min_key, key)
+                insort(profile.keys, key)
                 outcome.merged = True
             self._by_key[key] = profile
         elif bound is not None and bound is not profile and self._merge(bound, profile):
@@ -151,14 +149,14 @@ class IdentityGraph:
                 url = self._page_text[page] = page.serialize()
             insort(profile.activity, Activity(report.timestamp, site, report.event.value, url))
         if report.external_id:  # an empty ID is absent, as in has_identifier
-            self._external_index[(site, report.external_id)] = profile.min_key
+            self._external_index[(site, report.external_id)] = profile.keys[0]
             profile.external_ids.add(report.external_id)
         if fbclid_value is not None:
             account = self._account_for_fbclid(fbclid_value, site)
             if account is not None:
                 self._link(profile, account)
         outcome.linked_account = profile.linked_account
-        outcome.profile_key = profile.min_key
+        outcome.profile_key = profile.keys[0]
         return outcome
 
     def _checked_fbclid(self, report: EventReport, key: ProfileKey | None) -> str | None:
@@ -230,9 +228,9 @@ class IdentityGraph:
                     "external_ids": sorted(p.external_ids),
                     "activity": list(p.activity),
                 }
-                for p in sorted(self.profiles(), key=lambda p: p.min_key)
+                for p in sorted(self.profiles(), key=lambda p: p.keys[0])
             ],
             "links": [[list(k), a] for k, a in self.resolve()],
             "anomalies": [[a.kind, a.detail] for a in self.anomalies],
-            "orphans": len(self.orphans),
+            "orphans": self.orphans,
         }

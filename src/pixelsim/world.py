@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .cookies import EventName, subdomain_index
+from .cookies import EventName
 from .errors import (
     DuplicateAccount,
     DuplicateBrowser,
@@ -108,7 +108,6 @@ class CookieJar:
 
 @dataclass(slots=True)
 class BrowserProfile:
-    browser_id: str
     incognito: bool = False
     user_agent: str = "ua-default"
     jars: dict[str, CookieJar] = field(default_factory=dict)
@@ -144,15 +143,12 @@ class SiteConfig:
         if not self.pixel_id:
             self.pixel_id = "px-" + self.domain
 
-    @property
-    def registrable_suffix(self) -> str:
-        return self.domain.rsplit(".", 1)[-1]
-
     # Derived once per site, as no field is assigned after construction.
 
     @cached_property
     def subdomain_index(self) -> int:
-        return subdomain_index(self.domain, self.registrable_suffix)
+        """Label depth of the domain below its last label: ``shoes.com -> 1``."""
+        return self.domain.count(".")
 
     @cached_property
     def fanout(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -163,7 +159,6 @@ class SiteConfig:
 
 @dataclass(slots=True)
 class Account:
-    account_id: str
     created_at: int  # ms
 
 
@@ -226,9 +221,7 @@ class World:
     ) -> BrowserProfile:
         if browser_id in self.browsers:
             raise DuplicateBrowser(browser_id)
-        browser = BrowserProfile(
-            browser_id=browser_id, incognito=incognito, user_agent=user_agent
-        )
+        browser = BrowserProfile(incognito=incognito, user_agent=user_agent)
         self._spawn_rank[browser_id] = len(self.browsers)
         self.browsers[browser_id] = browser
         if incognito:
@@ -242,7 +235,7 @@ class World:
     def create_account(self, account_id: str) -> Account:
         if account_id in self.accounts:
             raise DuplicateAccount(account_id)
-        account = Account(account_id=account_id, created_at=self.now)
+        account = Account(created_at=self.now)
         self.accounts[account_id] = account
         return account
 

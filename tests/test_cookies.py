@@ -22,9 +22,9 @@ from pixelsim.cookies import (
     parse_fbp,
     serialize_fbc,
     serialize_fbp,
-    subdomain_index,
 )
-from pixelsim.errors import DomainMismatch, MalformedCookie, MalformedReport
+from pixelsim.errors import MalformedCookie, MalformedReport
+from pixelsim.world import SiteConfig
 
 
 class TestFbpCodec:
@@ -117,22 +117,16 @@ class TestFbclid:
 
 class TestSubdomainIndex:
     @pytest.mark.parametrize(
-        "domain,suffix,expected",
+        "domain,expected",
         [
-            ("com", "com", 0),
-            ("shoes.com", "com", 1),
-            ("www.shoes.com", "com", 2),
-            ("a.b.c.example.org", "org", 4),
+            ("com", 0),
+            ("shoes.com", 1),
+            ("www.shoes.com", 2),
+            ("a.b.c.example.org", 4),
         ],
     )
-    def test_label_depth(self, domain, suffix, expected):
-        assert subdomain_index(domain, suffix) == expected
-
-    def test_suffix_mismatch(self):
-        with pytest.raises(DomainMismatch):
-            subdomain_index("shoes.com", "org")
-        with pytest.raises(DomainMismatch):
-            subdomain_index("notcom", "com")
+    def test_label_depth(self, domain, expected):
+        assert SiteConfig(domain=domain).subdomain_index == expected
 
 
 class TestTrackedUrl:

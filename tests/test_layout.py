@@ -54,14 +54,14 @@ INSTANCES = [
     CLICK_ID,
     FbpCookie(1, 1, 42),
     FbcCookie(1, 1, CLICK_ID),
-    PseudonymProfile(keys={KEY}, min_key=KEY),
+    PseudonymProfile(keys=[KEY]),
     IngestOutcome(),
     Anomaly("conflicting-link", "a1 vs a2"),
     PageLoad("a1#0", "a1", 1, ClickIdArray(1, set(), "a1", 0)),
     ClickLedgerEntry(CLICK_ID, "a1", "feed-link", "a1#0", 1, "shop.example"),
     ClickIdArray(1, set(), "a1", 0),
-    BrowserProfile("b1"),
-    Account("a1", 1),
+    BrowserProfile(),
+    Account(1),
     CookieJar(),
 ]
 

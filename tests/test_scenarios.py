@@ -455,6 +455,21 @@ class TestRotateExternalId:
         assert first != second == third
         assert len(set(ids["news.example"])) == 1
 
+    @pytest.mark.parametrize("anonymous_default", [False, True])
+    def test_rotation_without_a_per_browser_id_changes_nothing(self, anonymous_default):
+        # A site that shares no ID, or hands every browser the same one.
+        site = SiteConfig(domain="shop.example", shares_external_id=anonymous_default,
+                          external_id_default_when_anonymous=anonymous_default)
+        visit = {"browser": "b1", "site": "shop.example"}
+        scenario = simple_scenario(
+            sites=[site],
+            steps=[Step(1, "Visit", visit), Step(2, "RotateExternalId", visit),
+                   Step(3, "Visit", visit)],
+        )
+        first, second = [record.report.external_id for record in run(scenario).log]
+        assert first == second
+        assert (first is not None) == anonymous_default
+
     @pytest.mark.parametrize(
         "params",
         [

@@ -74,7 +74,7 @@ class TestProfiles:
         graph = IdentityGraph()
         outcome = graph.ingest(make_report(1, fbp=None))
         assert outcome.orphan
-        assert len(graph.orphans) == 1
+        assert graph.orphans == 1
         assert graph.profiles() == []
 
 
@@ -187,7 +187,7 @@ class TestExternalIds:
         assert [a.timestamp for a in profile.activity] == [5, 5, 6, 7]
         # The surviving profile's activity comes first among equals.
         assert profile.activity[0] is kept and profile.activity[1] is absorbed
-        assert profile.min_key == (SITE, "fb.1.0.1")
+        assert profile.keys[0] == (SITE, "fb.1.0.1")
 
     def test_new_cookie_joins_the_bound_profile(self):
         graph = IdentityGraph()
@@ -200,7 +200,7 @@ class TestExternalIds:
         assert outcome.profile_key == (SITE, "fb.1.0.1")  # the bound profile's smallest key
         assert graph.profiles() == [bound]
         assert graph.profile((SITE, "fb.1.0.2")) is bound
-        assert bound.keys == {(SITE, "fb.1.0.1"), (SITE, "fb.1.0.2"), (SITE, "fb.1.0.3")}
+        assert bound.keys == [(SITE, "fb.1.0.1"), (SITE, "fb.1.0.2"), (SITE, "fb.1.0.3")]
         # Equal activities stay in arrival order, the new one last.
         assert len(bound.activity) == 3
         assert all(a is b for a, b in zip(bound.activity, arrived))
@@ -214,6 +214,34 @@ class TestExternalIds:
         outcome = graph.ingest(make_report(4, fbp=None, ext="ext-b"))
         assert outcome.profile_key == (SITE, "fb.1.0.1")
         assert len(graph.profiles()) == 1
+
+    def test_keys_arriving_in_decreasing_order_stay_sorted(self):
+        graph = IdentityGraph()
+
+        def ingest(ts, fbp, ext):
+            outcome = graph.ingest(make_report(ts, fbp=fbp, ext=ext))
+            keys = graph.profile(outcome.profile_key).keys
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert outcome.profile_key == keys[0]
+            return outcome
+
+        # Each new, smaller cookie joins its profile through the external ID.
+        for ts, fbp in enumerate(("fb.1.0.9", "fb.1.0.7", "fb.1.0.5")):
+            ingest(ts, fbp, "ext-a")
+        for ts, fbp in enumerate(("fb.1.0.8", "fb.1.0.6", "fb.1.0.4"), start=3):
+            ingest(ts, fbp, "ext-b")
+        survivor = graph.profile((SITE, "fb.1.0.9"))
+        absorbed = graph.profile((SITE, "fb.1.0.8"))
+        assert survivor is not absorbed
+        # A known cookie of the second profile carrying the first one's ID
+        # folds the second into the first.
+        assert ingest(6, "fb.1.0.8", "ext-a").merged
+        assert survivor.keys == [(SITE, f"fb.1.0.{n}") for n in range(4, 10)]
+        assert all(graph.profile((SITE, f"fb.1.0.{n}")) is survivor for n in (4, 6, 8))
+        assert graph.profiles() == [survivor]
+        outcome = graph.ingest(make_report(7, fbp=None, ext="ext-b"))
+        assert outcome.profile_key == (SITE, "fb.1.0.4")
+        assert graph.profile(outcome.profile_key) is survivor
 
     def test_rotated_external_id_does_not_merge(self):
         graph = IdentityGraph()
@@ -382,7 +410,7 @@ class TestInvariants:
         for profile in live:
             got = [a for key in profile.keys for a in received[key]]
             assert profile.activity == sorted(got)
-            assert profile.min_key == min(profile.keys)
+            assert profile.keys == sorted(set(profile.keys))
         for key in received:
             assert [p for p in live if key in p.keys] == [graph.profile(key)]
         assert sum(len(p.keys) for p in live) == len(received)

@@ -175,9 +175,6 @@ class TestSiteConfig:
         assert SiteConfig(domain="shop.example").pixel_id == "px-shop.example"
         assert SiteConfig(domain="x.example", pixel_id="custom").pixel_id == "custom"
 
-    def test_registrable_suffix(self):
-        assert SiteConfig(domain="www.shoes.com").registrable_suffix == "com"
-
 
 class TestExternalIdRegistry:
     def test_stable_per_site_and_browser(self):
