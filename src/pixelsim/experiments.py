@@ -32,18 +32,9 @@ CLOSURE_NOTE = (
     "validates the simulator, not live-web measurements"
 )
 
-EXPIRATION_POLICY_ORDER = [
-    ExpirationPolicy.EVERY_EVENT,
-    ExpirationPolicy.BLOCKED,
-    ExpirationPolicy.NEVER,
-    ExpirationPolicy.ONLY_FBCLID,
-    ExpirationPolicy.ONLY_RELOAD,
-    ExpirationPolicy.ROTATE_VALUE,
-]
-
 # The paper's populations.  An experiment given no fraction uses these.
 PROFILING_FRACTIONS = (0.923, 0.015, 0.039, 0.023)  # in ReportingClass order
-EXPIRATION_FRACTIONS = (  # EXPIRATION_POLICY_ORDER
+EXPIRATION_FRACTIONS = (  # in ExpirationPolicy order
     1942 / 2308, 172 / 2308, 115 / 2308, 57 / 2308, 17 / 2308, 5 / 2308,
 )
 EXTERNAL_ID_FRACTIONS = (68 / 2308, 55 / 68, 4 / 68)  # sharing, stable, default-anonymous
@@ -168,7 +159,7 @@ def experiment_expiration(
 ) -> tuple[MetricsReport, RunResult]:
     """Visit, reload, then visit with a click ID; classify expiry updates."""
     policies, configured = _population(
-        n_sites, EXPIRATION_POLICY_ORDER, policy_counts, policy_fractions, EXPIRATION_FRACTIONS
+        n_sites, ExpirationPolicy, policy_counts, policy_fractions, EXPIRATION_FRACTIONS
     )
     domains = _domains(n_sites)
     policy_of = dict(zip(domains, policies))
@@ -198,7 +189,7 @@ def experiment_expiration(
 
     creation_violations = 0
     update_violations = 0
-    tallies = {p.value: 0 for p in EXPIRATION_POLICY_ORDER}
+    tallies = {p.value: 0 for p in ExpirationPolicy}
     for domain in domains:
         tallies[_classify_expiration(passes[domain]).value] += 1
         creation_violations += _creation_law_violations(passes[domain])
@@ -441,7 +432,7 @@ def experiment_propagation(
     results: dict[str, RunResult] = {}
     report = MetricsReport()
     for variant, value in values.items():
-        steps = _crawl(0, domains, "InjectFbclid", browser="crawler", value=value)
+        steps = _crawl(0, domains, browser="crawler", url_extras=[["fbclid", value]])
         result = run(
             Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps)
         )
@@ -524,7 +515,7 @@ def experiment_consent(
 
     report = MetricsReport()
     results: dict[str, RunResult] = {}
-    for mode in (ConsentMode.ACCEPT_ALL, ConsentMode.REJECT_ALL, ConsentMode.NO_ACTION):
+    for mode in ConsentMode:
         result = run(
             Scenario(
                 seed=seed,

@@ -299,20 +299,6 @@ class DeleteCookie:
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
-class InjectFbclid:
-    """``browser`` opens ``site`` with ``value`` as the URL's ``fbclid``."""
-
-    browser: str
-    site: str
-    value: str
-    event: EventName = EventName.PAGE_VIEW
-
-    def apply(self, world: World, feed: PlatformFeed, graph: IdentityGraph) -> PageEmissions:
-        url = TrackedUrl(self.site, query=(("fbclid", self.value),))
-        return on_page_event(world, self.browser, url, self.event)
-
-
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class RotateExternalId:
     """``site`` hands ``browser`` a fresh external ID from now on."""
 
@@ -325,7 +311,7 @@ class RotateExternalId:
 
 
 Action = (Visit | Reload | PlatformLoad | PlatformClick | CreateAccount | Login
-          | DeleteCookie | InjectFbclid | RotateExternalId)
+          | DeleteCookie | RotateExternalId)
 _ACTIONS: dict[str, type[Action]] = {cls.__name__: cls for cls in typing.get_args(Action)}
 
 

@@ -223,7 +223,7 @@ class IdentityGraph:
         return {
             "profiles": [
                 {
-                    "keys": sorted(f"{s}|{v}" for s, v in p.keys),
+                    "keys": [f"{s}|{v}" for s, v in p.keys],
                     "linked_account": p.linked_account,
                     "external_ids": sorted(p.external_ids),
                     "activity": list(p.activity),

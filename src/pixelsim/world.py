@@ -34,13 +34,14 @@ COOKIE_LIFETIME_MS = 90 * DAY_MS
 TRACKER_DOMAIN = "tracker.example"
 
 
+# Declared in the paper's order, which EXPIRATION_FRACTIONS and `--fractions` follow.
 class ExpirationPolicy(Enum):
     EVERY_EVENT = "EveryEvent"
+    BLOCKED = "Blocked"
     NEVER = "Never"
     ONLY_FBCLID = "OnlyFbclid"
     ONLY_RELOAD = "OnlyReload"
     ROTATE_VALUE = "RotateValue"
-    BLOCKED = "Blocked"
 
 
 class ReportingClass(Enum):

@@ -103,8 +103,8 @@ def random_scenario(seed: int) -> Scenario:
             steps.append(
                 Step(
                     tick,
-                    "InjectFbclid",
-                    {"browser": browser, "site": domain, "value": value},
+                    "Visit",
+                    {"browser": browser, "site": domain, "url_extras": [["fbclid", value]]},
                 )
             )
         else:

@@ -58,7 +58,12 @@ class TestRun:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "counters" in report
         assert (out / "world.json").exists()
-        assert (out / "graph.json").exists()
+        # CI runs this scenario under two string-hash seeds and diffs the
+        # outputs, which checks the order of links and multi-key profiles
+        # only if graph.json holds some.
+        graph = json.loads((out / "graph.json").read_text(encoding="utf-8"))
+        assert graph["links"]
+        assert any(len(profile["keys"]) > 1 for profile in graph["profiles"])
 
     def test_invalid_step_is_an_error_line(self, tmp_path):
         data = scenario_to_dict(random_scenario(5))

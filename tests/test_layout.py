@@ -19,7 +19,6 @@ from pixelsim.scenarios import (
     Browser,
     CreateAccount,
     DeleteCookie,
-    InjectFbclid,
     Login,
     PlatformClick,
     PlatformLoad,
@@ -47,7 +46,6 @@ INSTANCES = [
     CreateAccount("b1", "a1"),
     Login("b1", "a1"),
     DeleteCookie("b1", "shop.example", "_fbp"),
-    InjectFbclid("b1", "shop.example", "abc"),
     RotateExternalId("b1", "shop.example"),
     PageEmissions("shop.example", "b1", REPORT),
     EmissionRecord(REPORT, 0, "shop.example", "b1"),

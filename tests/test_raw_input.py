@@ -155,8 +155,8 @@ SCENARIO = {
         {"tick": 2, "action": "PlatformLoad", "account": "u1"},
         {"tick": 3, "action": "PlatformClick", "account": "u1", "site": SITE},
         {"tick": 4, "action": "Login", "browser": "b2", "account": "u1"},
-        {"tick": 5, "action": "InjectFbclid", "browser": "b2", "site": "news.example",
-         "value": "Injected"},
+        {"tick": 5, "action": "Visit", "browser": "b2", "site": "news.example",
+         "url_extras": [["fbclid", "Injected"]]},
         {"tick": 6, "action": "RotateExternalId", "browser": "b1", "site": SITE},
         {"tick": 172_800_008, "action": "DeleteCookie", "browser": "b1", "site": SITE,
          "name": "_fbp"},

@@ -71,6 +71,7 @@ class TestValidation:
             ("Visit", {"browser": "b1", "site": "shop.example", "evnt": "Purchase"}),
             ("AdvanceDays", {"days": -1}),
             ("AdvanceDays", {"days": "2"}),
+            ("InjectFbclid", {"browser": "b1", "site": "shop.example", "value": "abc"}),
             ("PlatformLoad", {}),
             ("Visit", {"browser": ["b"], "site": "shop.example"}),
             ("Visit", {"browser": "b1", "site": 7}),
@@ -81,7 +82,7 @@ class TestValidation:
             ("PlatformLoad", {"account": 3}),
             ("PlatformClick", {"account": "u1", "site": "shop.example", "element_class": None}),
             ("DeleteCookie", {"browser": "b1", "site": "shop.example", "name": {"_fbp": 1}}),
-            ("InjectFbclid", {"browser": "b1", "site": "shop.example", "value": 12}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": [["fbclid", 12]]}),
             ("Reload", {"browser": "b1", "site": "shop.example", "event": EventName.PURCHASE}),
         ],
     )
@@ -121,7 +122,7 @@ class TestValidation:
         assert excinfo.value.step_index == 0
 
     @pytest.mark.parametrize("action, params", [
-        ("Visit", {}), ("Reload", {}), ("InjectFbclid", {"value": "X"}),
+        ("Visit", {}), ("Reload", {}), ("Visit", {"url_extras": [["fbclid", "X"]]}),
     ])
     @pytest.mark.parametrize("site, consent_mode", [
         ({"has_pixel": False}, ConsentMode.ACCEPT_ALL),
@@ -293,8 +294,9 @@ class TestExecution:
             steps=[
                 Step(
                     5,
-                    "InjectFbclid",
-                    {"browser": "b1", "site": "shop.example", "value": "Injected"},
+                    "Visit",
+                    {"browser": "b1", "site": "shop.example",
+                     "url_extras": [["fbclid", "Injected"]]},
                 )
             ]
         )

@@ -77,6 +77,25 @@ class TestClickIdArrays:
         assert ids[::-1][0] is ids[-1]
         assert ids[7] is ids[7]
 
+    def test_repeated_derivation_is_derived_again(self, monkeypatch):
+        # Slot 1's first derivation repeats slot 0's ID, so the feed must
+        # derive slot 1 again with the next nonce.
+        derive = social._derive_click_id
+
+        def colliding(seed, account_id, counter, slot, nonce):
+            if (slot, nonce) == (1, 0):
+                slot = 0
+            return derive(seed, account_id, counter, slot, nonce)
+
+        monkeypatch.setattr(social, "_derive_click_id", colliding)
+        feed = make_feed()
+        load = feed.refresh_click_ids("u1", tick=0)
+        for element_class in ("ad-card", "feed-link"):
+            feed.decorate_outbound(load, TARGETS[0], element_class)
+        values = [entry.fbclid.value for entry in feed.ledger]
+        assert values == [derive(1, "u1", 0, 0, 0).value, derive(1, "u1", 0, 1, 1).value]
+        assert len(set(values)) == len(values)
+
     def test_load_then_click_derives_one_id(self, monkeypatch):
         derived = []
         derive = social._derive_click_id

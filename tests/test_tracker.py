@@ -446,6 +446,30 @@ class TestInvariants:
             ]
             assert profile.activity == sorted(expected)
 
+    @pytest.mark.parametrize("shared_ids", [False, True], ids=["site-ids", "shared-ids"])
+    def test_profile_keys_share_a_site_and_dump_in_order(self, shared_ids):
+        # dump writes a profile's keys in the order the profile keeps them,
+        # which is their sorted order as strings only while they share a
+        # site.  With shared_ids a browser's external ID is the same on every
+        # site, as a hashed e-mail address would be, so only the per-site
+        # external-ID binding keeps each profile on one site.
+        for seed in range(50):
+            result = run(random_scenario(seed))
+            graph = result.graph
+            if shared_ids:
+                graph = IdentityGraph(click_ledger=result.feed)
+                for page in result.emissions:
+                    report = page.report
+                    if report is None:
+                        continue
+                    if report.external_id is not None:
+                        report = report._replace(external_id=f"id-{page.browser_id}")
+                    graph.ingest(report)
+            for profile in graph.profiles():
+                assert len({site for site, _ in profile.keys}) == 1, seed
+            for dumped in graph.dump()["profiles"]:
+                assert dumped["keys"] == sorted(dumped["keys"]), seed
+
 
 class _Unshared(dict):
     """A page-text table that keeps nothing, so every activity serializes its page."""
