@@ -91,8 +91,7 @@ def _share(total: int, fraction: float) -> int:
 def _issued_click_id(seed: int) -> str:
     """A canonical click ID as the platform would hand out."""
     feed = PlatformFeed(seed=seed)
-    load = feed.refresh_click_ids("probe-account", tick=0)
-    return load.click_ids[0].value
+    return feed.click_id(feed.refresh_click_ids("probe-account", tick=0), 0).value
 
 
 # -- reporting-class profiling (plain visit, then visit with click ID) -----
@@ -372,7 +371,7 @@ def default_fanout_counts(n: int) -> list[int]:
     nonzero = n - zeros
     counts = [0] * zeros
     half = n // 2
-    lower = max(half - zeros + 1, 1)  # entries at or below the median slot
+    lower = min(max(half - zeros + 1, 1), nonzero)  # entries at or below the median slot
     upper = nonzero - lower
     for k in range(lower):
         counts.append(1 + round((FANOUT_MEDIAN - 1) * k / max(lower - 1, 1)))
@@ -390,21 +389,21 @@ def experiment_propagation(
 ) -> tuple[MetricsReport, dict[str, RunResult]]:
     """Inject each click-ID variant and measure third-party fan-out.
 
-    ``fanout_spec`` may give ``counts`` (one hop-1 fan-out per site; by
-    default ``default_fanout_counts``) and ``second_hop_fanout`` (hop-2
-    destinations per hop-1 one; by default 0).
+    Each site's hop-1 fan-out comes from ``default_fanout_counts``.
+    ``fanout_spec`` may give ``second_hop_fanout`` (hop-2 destinations per
+    hop-1 one; by default 0).
     """
+    if n_sites < 1:
+        # The fan-out distribution of no sites has no median or max.
+        raise ValueError(f"propagation needs at least one site, not {n_sites}")
     spec = fanout_spec or {}
-    if not set(spec) <= {"counts", "second_hop_fanout"}:
-        raise ValueError(f"fan-out spec takes counts and second_hop_fanout, not {sorted(spec)}")
-    counts = spec.get("counts") or default_fanout_counts(n_sites)
+    if not set(spec) <= {"second_hop_fanout"}:
+        raise ValueError(f"fan-out spec takes only second_hop_fanout, not {sorted(spec)}")
     second_hop_fanout = spec.get("second_hop_fanout", 0)
-    if len(counts) != n_sites:
-        raise ValueError("fan-out spec length does not match site total")
 
     domains = _domains(n_sites)
     sites = []
-    for domain, k in zip(domains, counts):
+    for domain, k in zip(domains, default_fanout_counts(n_sites)):
         third_parties = tuple(f"tp{j}.{domain.split('.')[0]}-ads.example" for j in range(k))
         forwarding = {
             tp: tuple(f"hop2-{j}.{tp}" for j in range(second_hop_fanout))

@@ -121,8 +121,7 @@ def on_page_event(world: World, browser_id: str, url: TrackedUrl, event: EventNa
                   reload: bool = False) -> PageEmissions:
     site = world.site(url.origin)
     browser = world.browser(browser_id)
-    if (not site.has_pixel or site.expiration_policy is ExpirationPolicy.BLOCKED
-            or _consent_blocks(world, site)):
+    if site.expiration_policy is ExpirationPolicy.BLOCKED or _consent_blocks(world, site):
         return PageEmissions(url.origin, browser_id)
 
     now = world.now

@@ -333,6 +333,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict) or "seed" not in data:
         raise ValidationError("a scenario is an object with a 'seed'")
+    for name in data:
+        if name not in _type_hints(Scenario):
+            raise ValidationError(f"scenario has unknown field {name!r}")
     steps = []
     for i, raw in enumerate(_decode(list, data.get("steps", []), "steps")):
         if not isinstance(raw, dict) or not {"tick", "action"} <= raw.keys():

@@ -1,18 +1,18 @@
-"""The platform side: page loads, click-ID arrays, outbound-link decoration.
+"""The platform side: page loads, click IDs, outbound-link decoration.
 
-Every page load on the platform carries an array of 50 fresh 61-character
-click IDs, each derived on first access, so a load pays only for the
-slots its links use.  Outbound links get one of those IDs appended, chosen
-by the link element's class name: same class, same ID within a load.
-Every issuance is written to an append-only ledger, indexed by click-ID
-value, which is the join key the tracker later uses to de-anonymize
-visitors.
+Every page load on the platform carries 50 fresh 61-character click IDs.
+The feed derives a load's IDs on first read, through
+:meth:`PlatformFeed.click_id`, so a load pays only for the slots its links
+use.  Outbound links get one of those IDs appended, chosen by the link
+element's class name: same class, same ID within a load.  Every issuance
+is written to an append-only ledger, indexed by click-ID value, which is
+the join key the tracker later uses to de-anonymize visitors.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+import itertools
 from dataclasses import dataclass, field
 
 from .cookies import CLICK_ID_ALPHABET, CLICK_ID_LENGTH, Fbclid, TrackedUrl
@@ -23,44 +23,18 @@ ARRAY_SIZE = 50
 _CLICK_ID_TABLE = bytes(ord(CLICK_ID_ALPHABET[b & 63]) for b in range(256))
 
 
-class ClickIdArray(Sequence[Fbclid]):
-    """The ARRAY_SIZE click IDs of one page load.
-
-    A slot's ID is derived, checked for freshness and recorded as issued
-    the first time it is read; later reads return the same object.
-    """
-
-    __slots__ = ("_seed", "_issued", "_account_id", "_counter", "_ids")
-
-    def __init__(self, seed: int, issued: set[str], account_id: str, counter: int):
-        # Not the feed itself: it holds its current loads, so that would be a cycle.
-        self._seed = seed
-        self._issued = issued
-        self._account_id = account_id
-        self._counter = counter
-        self._ids: list[Fbclid | None] = [None] * ARRAY_SIZE
-
-    def __len__(self) -> int:
-        return ARRAY_SIZE
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(ARRAY_SIZE)))
-        click_id = self._ids[index]
-        if click_id is None:
-            slot = index % ARRAY_SIZE
-            click_id = _issue(self._seed, self._issued, self._account_id, self._counter, slot)
-            self._ids[slot] = click_id
-        return click_id
-
-
 @dataclass(slots=True)
 class PageLoad:
-    load_id: str
     account_id: str
+    number: int  # the account's loads before this one
     tick: int
-    click_ids: ClickIdArray  # ARRAY_SIZE entries, each derived on first access
+    # ARRAY_SIZE slots, each None until PlatformFeed.click_id first reads it.
+    click_ids: list[Fbclid | None] = field(default_factory=lambda: [None] * ARRAY_SIZE)
     class_assignment: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def load_id(self) -> str:
+        return f"{self.account_id}#{self.number}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,22 +47,10 @@ class ClickLedgerEntry:
     target_origin: str  # origin the decorated link pointed at
 
 
-def _derive_click_id(seed: int, account_id: str, counter: int, slot: int, nonce: int) -> Fbclid:
-    key = f"{seed}:{account_id}:{counter}:{slot}:{nonce}".encode()
+def _derive_click_id(seed: int, account_id: str, number: int, slot: int, nonce: int) -> Fbclid:
+    key = f"{seed}:{account_id}:{number}:{slot}:{nonce}".encode()
     digest = hashlib.sha512(key).digest()
     return Fbclid(digest[:CLICK_ID_LENGTH].translate(_CLICK_ID_TABLE).decode("ascii"))
-
-
-def _issue(seed: int, issued: set[str], account_id: str, counter: int, slot: int) -> Fbclid:
-    nonce = 0
-    click_id = _derive_click_id(seed, account_id, counter, slot, nonce)
-    # Cross-load freshness is enforced, not just assumed: regenerate
-    # on the (practically impossible) digest collision.
-    while click_id.value in issued:
-        nonce += 1
-        click_id = _derive_click_id(seed, account_id, counter, slot, nonce)
-    issued.add(click_id.value)
-    return click_id
 
 
 class PlatformFeed:
@@ -96,23 +58,34 @@ class PlatformFeed:
 
     def __init__(self, seed: int):
         self._seed = seed
-        self._load_counters: dict[str, int] = {}
         self._issued_values: set[str] = set()
         self.ledger: list[ClickLedgerEntry] = []
         self._entries_by_value: dict[str, list[ClickLedgerEntry]] = {}
         self.current_loads: dict[str, PageLoad] = {}
 
     def refresh_click_ids(self, account_id: str, tick: int) -> PageLoad:
-        counter = self._load_counters.get(account_id, 0)
-        self._load_counters[account_id] = counter + 1
-        load = PageLoad(
-            load_id=f"{account_id}#{counter}",
-            account_id=account_id,
-            tick=tick,
-            click_ids=ClickIdArray(self._seed, self._issued_values, account_id, counter),
-        )
-        self.current_loads[account_id] = load
+        previous = self.current_loads.get(account_id)
+        number = 0 if previous is None else previous.number + 1
+        load = self.current_loads[account_id] = PageLoad(account_id, number, tick)
         return load
+
+    def click_id(self, load: PageLoad, slot: int) -> Fbclid:
+        """The ID in ``slot`` (0 to ARRAY_SIZE - 1) of ``load``.
+
+        It is derived, checked for freshness and recorded as issued the
+        first time it is read; later reads return the same object.
+        """
+        click_id = load.click_ids[slot]
+        if click_id is None:
+            # Cross-load freshness is enforced, not just assumed: regenerate
+            # with the next nonce on the (practically impossible) digest collision.
+            for nonce in itertools.count():
+                click_id = _derive_click_id(self._seed, load.account_id, load.number, slot, nonce)
+                if click_id.value not in self._issued_values:
+                    break
+            self._issued_values.add(click_id.value)
+            load.click_ids[slot] = click_id
+        return click_id
 
     def decorate_outbound(
         self, load: PageLoad, target_url: TrackedUrl, element_class: str
@@ -124,7 +97,7 @@ class PlatformFeed:
         """
         if element_class not in load.class_assignment:
             load.class_assignment[element_class] = len(load.class_assignment) % ARRAY_SIZE
-        click_id = load.click_ids[load.class_assignment[element_class]]
+        click_id = self.click_id(load, load.class_assignment[element_class])
         decorated = target_url.with_param("fbclid", click_id.value)
         entry = ClickLedgerEntry(
             fbclid=click_id,
@@ -141,4 +114,3 @@ class PlatformFeed:
     def entries_for(self, fbclid_value: str) -> list[ClickLedgerEntry]:
         """Ledger entries issuing ``fbclid_value``, in ledger order."""
         return list(self._entries_by_value.get(fbclid_value, ()))
-

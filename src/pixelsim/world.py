@@ -125,7 +125,6 @@ class SiteConfig:
     """Per-site behavior knobs; one instance per simulated website."""
 
     domain: str
-    has_pixel: bool = True
     pixel_id: str = ""
     tracked_events: frozenset[EventName] = frozenset({EventName.PAGE_VIEW})
     expiration_policy: ExpirationPolicy = ExpirationPolicy.EVERY_EVENT

@@ -42,12 +42,16 @@ def random_scenario(seed: int) -> Scenario:
                 forwarding[tp] = tuple(
                     f"fw{j}.{tp}" for j in range(rng.randint(1, 2))
                 )
+        # One site in ten runs no pixel: the Blocked policy.  A policy is
+        # drawn either way, so the draws after it do not depend on that.
+        pixel_runs = rng.random() < 0.9
+        reporting_class = rng.choice(list(ReportingClass))
+        policy = rng.choice(list(ExpirationPolicy))
         sites.append(
             SiteConfig(
                 domain=domain,
-                has_pixel=rng.random() < 0.9,
-                reporting_class=rng.choice(list(ReportingClass)),
-                expiration_policy=rng.choice(list(ExpirationPolicy)),
+                reporting_class=reporting_class,
+                expiration_policy=policy if pixel_runs else ExpirationPolicy.BLOCKED,
                 strips_fbclid=rng.random() < 0.2,
                 shares_external_id=rng.random() < 0.4,
                 external_id_default_when_anonymous=rng.random() < 0.2,
@@ -250,7 +254,7 @@ def forwarding_reference(result: RunResult) -> list[EmissionRecord]:
     records = []
     for page in result.emissions:
         site = configs[page.site]
-        runs = site.has_pixel and site.expiration_policy is not ExpirationPolicy.BLOCKED
+        runs = site.expiration_policy is not ExpirationPolicy.BLOCKED
         assert (page.forwarded is not None) == (runs and bool(site.first_hop_third_parties))
         if page.forwarded is None:
             continue

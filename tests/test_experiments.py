@@ -142,22 +142,23 @@ class TestPropagation:
         assert len(counts) == 500
         assert counts.count(0) == round(500 * 0.224)
         assert max(counts) == 31
+        for n in range(200):
+            assert len(default_fanout_counts(n)) == n
+
+    def test_propagation_needs_a_site(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            experiment_propagation(0)
 
     def test_variant_signatures_identical(self):
-        report, results = experiment_propagation(
-            30, {"counts": None, "second_hop_fanout": 2}, seed=4
-        )
+        report, results = experiment_propagation(30, {"second_hop_fanout": 2}, seed=4)
         sigs = report.site_flags
         assert sigs["real"] == sigs["random"] == sigs["dummy"]
         assert set(results) == {"real", "random", "dummy"}
 
-    def test_fanout_spec_length_checked(self):
-        with pytest.raises(ValueError):
-            experiment_propagation(5, {"counts": [1, 2]}, seed=0)
-
-    def test_fanout_spec_takes_only_counts_and_second_hop(self):
-        with pytest.raises(ValueError):
-            experiment_propagation(5, {"median": 3}, seed=0)
+    def test_fanout_spec_takes_only_second_hop(self):
+        for spec in ({"median": 3}, {"counts": [1] * 5}):
+            with pytest.raises(ValueError, match="only second_hop_fanout"):
+                experiment_propagation(5, spec, seed=0)
 
 
 class TestConsent:

@@ -27,7 +27,7 @@ from pixelsim.scenarios import (
     Step,
     Visit,
 )
-from pixelsim.social import ClickIdArray, ClickLedgerEntry, PageLoad
+from pixelsim.social import ClickLedgerEntry, PageLoad
 from pixelsim.tracker import Anomaly, IngestOutcome, PseudonymProfile
 from pixelsim.world import Account, BrowserProfile, CookieJar
 
@@ -55,9 +55,8 @@ INSTANCES = [
     PseudonymProfile(keys=[KEY]),
     IngestOutcome(),
     Anomaly("conflicting-link", "a1 vs a2"),
-    PageLoad("a1#0", "a1", 1, ClickIdArray(1, set(), "a1", 0)),
+    PageLoad("a1", 0, 1),
     ClickLedgerEntry(CLICK_ID, "a1", "feed-link", "a1#0", 1, "shop.example"),
-    ClickIdArray(1, set(), "a1", 0),
     BrowserProfile(),
     Account(1),
     CookieJar(),

@@ -126,7 +126,7 @@ class TestCookieCreation:
         assert cookie.creation_time == 10
 
     def test_no_pixel_does_nothing(self):
-        world = make_world(has_pixel=False)
+        world = make_world(expiration_policy=ExpirationPolicy.BLOCKED)
         assert visit(world) == []
         assert jar(world).read(FBP_NAME, 0) is None
 
@@ -369,7 +369,7 @@ class TestPropagation:
         assert all(r.report.page_url == page.forwarded.page_url for r in page)
 
     @pytest.mark.parametrize("site_kwargs, mode", [
-        ({"has_pixel": False}, ConsentMode.ACCEPT_ALL),
+        ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
         ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
         ({"consent_compliant": True}, ConsentMode.REJECT_ALL),
         ({"consent_requires_interaction": True}, ConsentMode.NO_ACTION),

@@ -104,7 +104,7 @@ class TestValidation:
             sites=[
                 SiteConfig(domain="shop.example"),
                 SiteConfig(domain="news.example"),
-                SiteConfig(domain="shop.example", has_pixel=False),
+                SiteConfig(domain="shop.example", expiration_policy=ExpirationPolicy.BLOCKED),
             ]
         )
         ran = []
@@ -125,7 +125,7 @@ class TestValidation:
         ("Visit", {}), ("Reload", {}), ("Visit", {"url_extras": [["fbclid", "X"]]}),
     ])
     @pytest.mark.parametrize("site, consent_mode", [
-        ({"has_pixel": False}, ConsentMode.ACCEPT_ALL),
+        ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
         ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
         ({"consent_compliant": True}, ConsentMode.REJECT_ALL),
     ], ids=["no-pixel", "blocked", "consent-blocked"])
@@ -526,7 +526,6 @@ class TestScenarioFiles:
     def test_site_dict_names_every_field(self):
         data = {
             "domain": "shop.example",
-            "has_pixel": False,
             "pixel_id": "px-7",
             "tracked_events": ["Purchase", "PageView"],
             "expiration_policy": "OnlyReload",
@@ -553,7 +552,12 @@ class TestScenarioFiles:
         data["sites"][0] = {"domain": "shop.example", "reporting_clas": "Silent"}
         with pytest.raises(ValidationError, match="reporting_clas"):
             scenario_from_dict(data)
-        for bad in ({"domain": "shop.example", "reporting_class": "Loud"}, {"has_pixel": True}):
+        # A pixel-less site is written "expiration_policy": "Blocked".
+        data["sites"][0] = {"domain": "shop.example", "has_pixel": False}
+        with pytest.raises(ValidationError, match="has_pixel"):
+            scenario_from_dict(data)
+        no_domain = {"strips_fbclid": True}
+        for bad in ({"domain": "shop.example", "reporting_class": "Loud"}, no_domain):
             data["sites"][0] = bad
             with pytest.raises(ValidationError):
                 scenario_from_dict(data)
@@ -562,6 +566,7 @@ class TestScenarioFiles:
         "spoil, step_index",
         [
             (lambda d: d.update(consent_mode="Maybe"), None),
+            (lambda d: d.update(consent_mod="RejectAll"), None),
             (lambda d: d.pop("seed"), None),
             (lambda d: d["steps"][1].pop("tick"), 1),
             (lambda d: d["steps"][1].pop("action"), 1),
@@ -573,7 +578,7 @@ class TestScenarioFiles:
             (lambda d: d.update(browsers={"id": "b1"}), None),
             (lambda d: d["sites"].append(3), None),
             (lambda d: d["sites"][0].update(first_hop_third_parties="xy"), None),
-            (lambda d: d["sites"][0].update(has_pixel="no"), None),
+            (lambda d: d["sites"][0].update(strips_fbclid="no"), None),
             (lambda d: d["sites"][0].update(second_hop_forwarding={"a": "bc"}), None),
             (lambda d: d["browsers"][0].update(incognito="yes"), None),
             (lambda d: d["browsers"][0].update(user_agent=5), None),
@@ -586,10 +591,10 @@ class TestScenarioFiles:
             (lambda d: d["steps"][1].update(tick=2**63), 1),
         ],
         ids=[
-            "unknown-consent-mode", "no-seed", "no-tick", "no-action",
+            "unknown-consent-mode", "misspelt-consent-mode", "no-seed", "no-tick", "no-action",
             "string-tick", "browser-without-id", "step-not-an-object",
             "steps-not-a-list", "sites-not-a-list", "browsers-not-a-list",
-            "site-not-an-object", "third-parties-a-string", "has-pixel-a-string",
+            "site-not-an-object", "third-parties-a-string", "strips-fbclid-a-string",
             "forwarding-to-a-string", "incognito-a-string", "user-agent-an-int",
             "seed-a-string", "browser-listed-twice", "action-not-a-string",
             "seed-too-long-to-print", "seed-of-2**63", "tick-too-long-to-print", "tick-of-2**63",

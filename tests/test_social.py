@@ -1,6 +1,5 @@
-"""Platform-side behavior: click-ID arrays, decoration, the ledger."""
+"""Platform-side behavior: click IDs, decoration, the ledger."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from pixelsim import social
@@ -27,18 +26,24 @@ def make_feed(seed: int = 1) -> PlatformFeed:
     return PlatformFeed(seed=seed)
 
 
-class TestClickIdArrays:
+def all_click_ids(feed: PlatformFeed, load) -> list:
+    return [feed.click_id(load, slot) for slot in range(ARRAY_SIZE)]
+
+
+class TestClickIds:
     def test_load_carries_fifty_canonical_ids(self):
-        load = make_feed().refresh_click_ids("u1", tick=0)
+        feed = make_feed()
+        load = feed.refresh_click_ids("u1", tick=0)
         assert len(load.click_ids) == ARRAY_SIZE == 50
-        for click_id in load.click_ids:
+        for click_id in all_click_ids(feed, load):
             assert len(click_id.value) == CLICK_ID_LENGTH == 61
             assert click_id.canonical
             assert set(click_id.value) <= set(CLICK_ID_ALPHABET)
 
     def test_ids_unique_within_load(self):
-        load = make_feed().refresh_click_ids("u1", tick=0)
-        values = [c.value for c in load.click_ids]
+        feed = make_feed()
+        load = feed.refresh_click_ids("u1", tick=0)
+        values = [c.value for c in all_click_ids(feed, load)]
         assert len(set(values)) == ARRAY_SIZE
 
     def test_ids_fresh_across_loads_and_accounts(self):
@@ -47,35 +52,36 @@ class TestClickIdArrays:
         for account in ("u1", "u2"):
             for _ in range(3):
                 load = feed.refresh_click_ids(account, tick=0)
-                values = {c.value for c in load.click_ids}
+                values = {c.value for c in all_click_ids(feed, load)}
                 assert not (values & seen)
                 seen |= values
 
     def test_derivation_is_seed_deterministic(self):
-        a = make_feed(seed=7).refresh_click_ids("u1", tick=0)
-        b = make_feed(seed=7).refresh_click_ids("u1", tick=0)
-        c = make_feed(seed=8).refresh_click_ids("u1", tick=0)
-        assert tuple(a.click_ids) == tuple(b.click_ids)
-        assert tuple(a.click_ids) != tuple(c.click_ids)
+        a, b, c = (make_feed(seed) for seed in (7, 7, 8))
+        ids = [all_click_ids(feed, feed.refresh_click_ids("u1", tick=0)) for feed in (a, b, c)]
+        assert ids[0] == ids[1]
+        assert ids[0] != ids[2]
 
     def test_load_ids_count_per_account(self):
         feed = make_feed()
         first = feed.refresh_click_ids("u1", tick=0)
         second = feed.refresh_click_ids("u1", tick=5)
-        assert first.load_id != second.load_id
+        assert (first.load_id, second.load_id) == ("u1#0", "u1#1")
         assert feed.current_loads["u1"] is second
 
-    def test_array_behaves_as_a_fifty_slot_sequence(self):
-        ids = make_feed().refresh_click_ids("u1", tick=0).click_ids
-        assert len(ids) == ARRAY_SIZE
-        assert ids[-1] is ids[ARRAY_SIZE - 1]
-        assert ids[-ARRAY_SIZE] is ids[0]
-        for index in (ARRAY_SIZE, -ARRAY_SIZE - 1):
-            with pytest.raises(IndexError):
-                ids[index]
-        assert ids[2:5] == (ids[2], ids[3], ids[4])
-        assert ids[::-1][0] is ids[-1]
-        assert ids[7] is ids[7]
+    def test_slot_is_derived_once_on_first_read(self, monkeypatch):
+        derived = []
+        derive = social._derive_click_id
+        monkeypatch.setattr(
+            social, "_derive_click_id", lambda *args: derived.append(args) or derive(*args)
+        )
+        feed = make_feed()
+        load = feed.refresh_click_ids("u1", tick=0)
+        assert derived == []
+        first = feed.click_id(load, 7)
+        assert feed.click_id(load, 7) is first
+        assert derived == [(1, "u1", 0, 7, 0)]
+        assert [slot for slot, value in enumerate(load.click_ids) if value is not None] == [7]
 
     def test_repeated_derivation_is_derived_again(self, monkeypatch):
         # Slot 1's first derivation repeats slot 0's ID, so the feed must
@@ -142,7 +148,7 @@ class TestDecoration:
         for k in range(ARRAY_SIZE):
             feed.decorate_outbound(load, target, f"class-{k}")
         wrapped, _ = feed.decorate_outbound(load, target, "class-overflow")
-        assert wrapped.get("fbclid") == load.click_ids[0].value
+        assert wrapped.get("fbclid") == feed.click_id(load, 0).value
         assert load.class_assignment["class-overflow"] == 0
 
     def test_same_class_fresh_id_after_reload(self):
@@ -211,7 +217,7 @@ class TestLedger:
         for k in range(ARRAY_SIZE + 1):  # the 51st class wraps onto slot 0
             feed.decorate_outbound(first, TARGETS[0], f"class-{k}")
         feed.decorate_outbound(first, TARGETS[1], "class-0")  # one ID, two targets
-        wrapped = feed.entries_for(first.click_ids[0].value)
+        wrapped = feed.entries_for(feed.click_id(first, 0).value)
         assert [(e.element_class, e.target_origin) for e in wrapped][:3] == [
             ("class-0", "shop.example"),
             ("class-50", "shop.example"),
@@ -223,7 +229,7 @@ class TestLedger:
                 load = feed.refresh_click_ids(f"u{account}", tick)
             feed.decorate_outbound(load, TARGETS[target], f"class-{element}")
         # Derived but never put on a link: not in the ledger either.
-        unclicked = feed.refresh_click_ids("u9", tick=0).click_ids[3].value
+        unclicked = feed.click_id(feed.refresh_click_ids("u9", tick=0), 3).value
         values = {e.fbclid.value for e in feed.ledger} | set(strangers) | {unclicked}
         for value in values:
             assert feed.entries_for(value) == [

@@ -143,7 +143,7 @@ class TestLedgerJoin:
         feed.decorate_outbound(
             other_load, TrackedUrl.parse("https://elsewhere.example/"), "ad-card"
         )
-        value = load.click_ids[0].value
+        value = feed.click_id(load, 0).value
         graph = IdentityGraph(click_ledger=feed)
         graph.ingest(make_report(2, clid=value))
         assert graph.resolve() == [((SITE, "fb.1.0.42"), "u1")]
