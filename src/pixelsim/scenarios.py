@@ -15,7 +15,7 @@ import json
 import typing
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from enum import Enum, EnumMeta
 from pathlib import Path
 
@@ -54,30 +54,27 @@ class Browser:
 class Scenario:
     seed: int
     sites: list[SiteConfig]
-    browsers: list[dict]  # each decodes as a Browser
+    browsers: list[dict]  # each a Browser or the object it decodes from
     steps: list[Step]
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
-    def validate(self) -> tuple[list[Browser], list[Action]]:
-        """Decode the seed, the browsers and every step, and check the types
-        of the consent mode, the lists, sites and steps, each site's domain,
-        the ticks, and that no site or browser is listed twice; returns the
-        decoded browsers and actions, which ``run`` uses."""
+    def validate(self) -> tuple[ConsentMode, tuple[SiteConfig, ...], tuple[Browser, ...], list]:
+        """Decode the seed, the consent mode, every site, browser and step by
+        ``_decode``'s rules, and check that the steps are a list, that each
+        site's domain is a URL origin, that the ticks increase and that no
+        site or browser is listed twice; returns the decoded consent mode,
+        sites, browsers and actions, which ``run`` uses."""
         _decode(int, self.seed, "seed")
-        if not isinstance(self.consent_mode, ConsentMode):
-            raise ValidationError(f"consent_mode {_shown(self.consent_mode)} is not a ConsentMode")
-        for name in "sites", "browsers", "steps":
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValidationError(f"{name} must be a list, not {_shown(getattr(self, name))}")
-        for i, site in enumerate(self.sites):
-            if not isinstance(site, SiteConfig):
-                raise ValidationError(f"sites[{i}] {_shown(site)} is not a SiteConfig")
+        consent_mode = _decode(ConsentMode, self.consent_mode, "consent_mode")
+        sites = _decode(tuple[SiteConfig, ...], self.sites, "sites")
+        browsers = _decode(tuple[Browser, ...], self.browsers, "browsers")
+        if not isinstance(self.steps, (list, tuple)):
+            raise ValidationError(f"steps must be a list, not {_shown(self.steps)}")
+        for i, site in enumerate(sites):
             # TrackedUrl.parse splits a URL's origin off at the first '/' or '?'.
-            domain = site.domain
-            if type(domain) is not str or not domain or "/" in domain or "?" in domain:
-                raise ValidationError(f"sites[{i}] domain {_shown(domain)} is not a URL origin")
-        browsers = [_decode(Browser, b, f"browsers[{i}]") for i, b in enumerate(self.browsers)]
-        domains, ids = [s.domain for s in self.sites], [b.id for b in browsers]
+            if not site.domain or "/" in site.domain or "?" in site.domain:
+                raise ValidationError(f"sites[{i}] domain {site.domain!r} is not a URL origin")
+        domains, ids = [s.domain for s in sites], [b.id for b in browsers]
         for kind, names in ("site", domains), ("browser", ids):
             repeated = [name for name, count in Counter(names).items() if count > 1]
             if repeated:
@@ -88,9 +85,7 @@ class Scenario:
             try:
                 if not isinstance(step, Step):
                     raise ValidationError(f"step {_shown(step)} is not a Step")
-                if type(step.tick) is not int:
-                    raise ValidationError(f"tick must be an int, not {_shown(step.tick)}")
-                _bounded(step.tick, "tick")
+                _decode(int, step.tick, "tick")
                 if step.tick <= last_tick:
                     raise ValidationError("ticks must be non-negative and strictly increasing")
                 cls = _ACTIONS.get(step.action) if type(step.action) is str else None
@@ -100,7 +95,7 @@ class Scenario:
             except ValidationError as exc:
                 raise ValidationError(str(exc), i) from None
             last_tick = step.tick
-        return browsers, actions
+        return consent_mode, sites, browsers, actions
 
 
 @dataclass
@@ -130,12 +125,12 @@ def run(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        browsers, actions = scenario.validate()
+        consent_mode, sites, browsers, actions = scenario.validate()
         world = World(seed=scenario.seed)
-        world.consent_mode = scenario.consent_mode
+        world.consent_mode = consent_mode
         feed = PlatformFeed(seed=scenario.seed)
         graph = IdentityGraph(click_ledger=feed)
-        for config in scenario.sites:
+        for config in sites:
             world.add_site(config)
         for browser in browsers:
             world.spawn_browser(browser.id, incognito=browser.incognito,
@@ -319,22 +314,16 @@ _ACTIONS: dict[str, type[Action]] = {cls.__name__: cls for cls in typing.get_arg
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "consent_mode": scenario.consent_mode.value,
-        "sites": [_to_json(s) for s in scenario.sites],
-        "browsers": scenario.browsers,
-        "steps": [
-            {"tick": s.tick, "action": s.action, **s.params} for s in scenario.steps
-        ],
-    }
+    """Each field of ``scenario`` in its JSON form, with each step's params inline."""
+    steps = [{"tick": s.tick, "action": s.action, **_to_json(s.params)} for s in scenario.steps]
+    return {**_to_json(scenario), "steps": steps}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict) or "seed" not in data:
         raise ValidationError("a scenario is an object with a 'seed'")
     for name in data:
-        if name not in _type_hints(Scenario):
+        if name not in _hint(Scenario)[1]:
             raise ValidationError(f"scenario has unknown field {name!r}")
     steps = []
     for i, raw in enumerate(_decode(list, data.get("steps", []), "steps")):
@@ -367,21 +356,30 @@ def _to_json(value):
         return value.value
     if isinstance(value, frozenset):
         return sorted(_to_json(v) for v in value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_to_json(v) for v in value]
     if isinstance(value, dict):
         return {k: _to_json(v) for k, v in sorted(value.items())}
     return value
 
 
-_type_hints = functools.cache(typing.get_type_hints)
 _JSON_TYPES = frozenset({bool, str, list, dict})  # these pass as they are; ints are bounded
 
 
-def _bounded(value: int, path: str) -> int:
-    if -INT_LIMIT < value < INT_LIMIT:
-        return value
-    raise ValidationError(f"{path} must be below 2**63 in magnitude")
+@functools.cache
+def _hint(tp) -> tuple:
+    """``tp``'s origin and arguments, worked out once per hint; a dataclass's
+    are ``dataclass`` and each field's hint and default by name."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return dataclass, {f.name: (hints[f.name], f.default) for f in dataclasses.fields(tp)}
+    return typing.get_origin(tp), typing.get_args(tp)
+
+
+def _at(path: str | tuple) -> str:
+    """``path`` as text.  A tuple path is a container's path and an index or
+    key, so an element's path is joined only when an error names it."""
+    return path if type(path) is str else f"{_at(path[0])}[{path[1]!r}]"
 
 
 def _shown(value) -> str:
@@ -392,50 +390,72 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} too large to print"
 
 
-def _decode(tp, value, path: str):
-    """``value``, read from JSON, as the type hint ``tp``; errors name ``path``.
+def _decode(tp, value, path: str | tuple):
+    """``value`` as the type hint ``tp``; errors name ``path`` (see ``_at``).
 
-    A bool must be a bool, an int an int and not a bool, below ``INT_LIMIT``
-    in magnitude, a str a str.  A ``list[X]``, ``tuple[X, ...]`` or
-    ``frozenset[X]`` is a list, a fixed ``tuple[X, Y]`` a list of two, a
-    ``dict[str, X]`` an object.  An enum is read by value.  A dataclass is
-    an object naming only its fields and each one without a default.
+    ``value`` is in its JSON form or is a value this returns.  A bool must be
+    a bool, an int an int and not a bool, below ``INT_LIMIT`` in magnitude, a
+    str a str.  A ``list[X]`` is a list; a ``tuple[X, ...]`` or
+    ``frozenset[X]`` a list or a value of its own type; a fixed
+    ``tuple[X, Y]`` a list or tuple of two; a ``dict[str, X]`` a dict.  An
+    enum is a member or a member's value.  A dataclass is an object naming
+    only its fields and each one without a default, or an instance.  An
+    instance's fields are used as they are, so each must equal what decoding
+    it returns: there, ``"Never"`` is no ``ExpirationPolicy`` and ``["a"]``
+    no ``tuple[str, ...]``.
     """
-    if type(value) is tp and tp in _JSON_TYPES:
+    kind = type(value)
+    if kind is tp and tp in _JSON_TYPES:
         return value
-    if type(value) is tp is int:
-        return _bounded(value, path)
-    if dataclasses.is_dataclass(tp) and type(value) is dict:
-        hints = _type_hints(tp)
+    if kind is tp is int:
+        if -INT_LIMIT < value < INT_LIMIT:
+            return value
+        raise ValidationError(f"{_at(path)} must be below 2**63 in magnitude")
+    origin, args = _hint(tp)
+    if origin is dataclass and kind is tp:  # its fields are used as they are
+        path = _at(path)
+        for name, (hint, default) in args.items():
+            item = getattr(value, name)
+            if item is not default and (type(item) is not hint or hint not in _JSON_TYPES):
+                if (decoded := _decode(hint, item, f"{path}.{name}")) != item:
+                    raise ValidationError(f"{path}.{name} must be {_shown(decoded)}")
+        return value
+    if origin is dataclass and kind is dict:
         decoded = value  # copied before the first field value that needs converting
         for name, item in value.items():
-            hint = hints.get(name)
-            if hint is None:
-                raise ValidationError(f"{path} has unknown field {name!r}")
+            if name not in args:
+                raise ValidationError(f"{_at(path)} has unknown field {name!r}")
+            hint = args[name][0]
             if type(item) is not hint or hint not in _JSON_TYPES:  # else it passes as it is
                 if decoded is value:
                     decoded = dict(value)
-                decoded[name] = _decode(hint, item, f"{path}.{name}")
+                decoded[name] = _decode(hint, item, f"{_at(path)}.{name}")
         try:
             return tp(**decoded)
         except TypeError:  # unknown names were rejected above, so a field is missing
-            missing = [f.name for f in dataclasses.fields(tp) if f.name not in value
-                       and f.default is f.default_factory is dataclasses.MISSING]
-            raise ValidationError(f"{path} needs field {missing[0]!r}") from None
-    if isinstance(tp, EnumMeta) and type(value) is not tp:  # a member is not a JSON value
+            # Fields without a default come first in a dataclass, so missing[0]
+            # is one of them and not a field with a default factory.
+            missing = [n for n, (_, d) in args.items() if d is MISSING and n not in value]
+            raise ValidationError(f"{_at(path)} needs field {missing[0]!r}") from None
+    if (kind is list or kind is origin) and (origin in (list, frozenset) or ... in args):
+        if args[0] in _JSON_TYPES:  # then each element of that type passes as it is
+            for v in value:
+                if type(v) is not args[0]:
+                    break
+            else:
+                return origin(value)
+        return origin(_decode(args[0], v, (path, i)) for i, v in enumerate(value))
+    if (kind is list or kind is origin) and origin is tuple and len(value) == len(args):
+        return tuple(_decode(a, v, (path, i)) for i, (a, v) in enumerate(zip(args, value)))
+    if kind is dict and origin is dict:
+        return {_decode(args[0], k, (path, k)): _decode(args[1], v, (path, k))
+                for k, v in value.items()}
+    if isinstance(tp, EnumMeta):
         try:
             return tp(value)
         except ValueError:
             raise ValidationError(
-                f"{path} must be one of {[member.value for member in tp]}, not {_shown(value)}"
+                f"{_at(path)} must be one of {[member.value for member in tp]}, not {_shown(value)}"
             ) from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if type(value) is list and (origin in (list, frozenset) or args[-1:] == (...,)):
-        return origin(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if type(value) is list and origin is tuple and len(value) == len(args):
-        return tuple(_decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if type(value) is dict and origin is dict:
-        return {_decode(args[0], k, path): _decode(args[1], v, f"{path}[{k!r}]")
-                for k, v in value.items()}
-    expected = "an object" if dataclasses.is_dataclass(tp) else repr(tp) if args else tp.__name__
-    raise ValidationError(f"{path} must be {expected}, not {_shown(value)}")
+    expected = "an object" if origin is dataclass else repr(tp) if args else tp.__name__
+    raise ValidationError(f"{_at(path)} must be {expected}, not {_shown(value)}")

@@ -32,17 +32,13 @@ class PageLoad:
     click_ids: list[Fbclid | None] = field(default_factory=lambda: [None] * ARRAY_SIZE)
     class_assignment: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def load_id(self) -> str:
-        return f"{self.account_id}#{self.number}"
-
 
 @dataclass(frozen=True, slots=True)
 class ClickLedgerEntry:
     fbclid: Fbclid
     account_id: str
     element_class: str
-    load_id: str
+    number: int  # the load's, as in PageLoad
     issued_at: int
     target_origin: str  # origin the decorated link pointed at
 
@@ -103,7 +99,7 @@ class PlatformFeed:
             fbclid=click_id,
             account_id=load.account_id,
             element_class=element_class,
-            load_id=load.load_id,
+            number=load.number,
             issued_at=load.tick,
             target_origin=target_url.origin,
         )

@@ -120,7 +120,7 @@ class BrowserProfile:
         return self.jars[domain]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SiteConfig:
     """Per-site behavior knobs; one instance per simulated website."""
 
@@ -140,10 +140,10 @@ class SiteConfig:
     second_hop_forwarding: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.pixel_id:
-            self.pixel_id = "px-" + self.domain
+        if self.pixel_id == "":  # any other value is kept, and checked, as it is
+            object.__setattr__(self, "pixel_id", "px-" + self.domain)
 
-    # Derived once per site, as no field is assigned after construction.
+    # Derived once per site: the class is frozen, so no field changes after construction.
 
     @cached_property
     def subdomain_index(self) -> int:
@@ -218,7 +218,7 @@ class World:
 
     def spawn_browser(
         self, browser_id: str, incognito: bool = False, user_agent: str = "ua-default"
-    ) -> BrowserProfile:
+    ) -> None:
         if browser_id in self.browsers:
             raise DuplicateBrowser(browser_id)
         browser = BrowserProfile(incognito=incognito, user_agent=user_agent)
@@ -226,11 +226,9 @@ class World:
         self.browsers[browser_id] = browser
         if incognito:
             self._incognito_browsers.append(browser)
-        return browser
 
-    def add_site(self, config: SiteConfig) -> SiteConfig:
+    def add_site(self, config: SiteConfig) -> None:
         self.sites[config.domain] = config
-        return config
 
     def create_account(self, account_id: str) -> Account:
         if account_id in self.accounts:

@@ -90,7 +90,7 @@ class TestRun:
         scenario_path.write_text(json.dumps(data), encoding="utf-8")
         result = invoke("run", str(scenario_path), "--out", str(tmp_path / "out"))
         assert result.exit_code == 1
-        assert "error: step 1: tick must be an int" in result.output
+        assert "error: step 1: tick must be int" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_seed_out_of_range_is_an_error_line(self, tmp_path):

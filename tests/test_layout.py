@@ -56,7 +56,7 @@ INSTANCES = [
     IngestOutcome(),
     Anomaly("conflicting-link", "a1 vs a2"),
     PageLoad("a1", 0, 1),
-    ClickLedgerEntry(CLICK_ID, "a1", "feed-link", "a1#0", 1, "shop.example"),
+    ClickLedgerEntry(CLICK_ID, "a1", "feed-link", 0, 1, "shop.example"),
     BrowserProfile(),
     Account(1),
     CookieJar(),

@@ -370,7 +370,7 @@ class TestPropagation:
 
     @pytest.mark.parametrize("site_kwargs, mode", [
         ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
-        ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
+        ({"consent_compliant": True}, ConsentMode.NO_ACTION),
         ({"consent_compliant": True}, ConsentMode.REJECT_ALL),
         ({"consent_requires_interaction": True}, ConsentMode.NO_ACTION),
     ])

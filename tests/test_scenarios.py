@@ -5,11 +5,13 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pixelsim.cookies import EventName
 from pixelsim.errors import ValidationError
 from pixelsim.pixel import FBP_NAME
 from pixelsim.scenarios import (
+    Browser,
     Scenario,
     Step,
     load_scenario,
@@ -17,9 +19,15 @@ from pixelsim.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from pixelsim.world import DAY_MS, ConsentMode, ExpirationPolicy, SiteConfig
+from pixelsim.world import DAY_MS, ConsentMode, ExpirationPolicy, ReportingClass, SiteConfig
 from helpers import random_scenario
 from test_raw_input import SCENARIO as EVERY_ACTION
+
+
+def outcome(result) -> tuple:
+    """What a run produced: world, graph, report and every emission."""
+    return (result.world.snapshot(), result.graph.dump(), result.report.to_json(),
+            [(r.hop, r.report) for r in result.log])
 
 
 def simple_scenario(**kwargs) -> Scenario:
@@ -34,6 +42,25 @@ def simple_scenario(**kwargs) -> Scenario:
     )
     defaults.update(kwargs)
     return Scenario(**defaults)
+
+
+# Every field of a site but its domain, and values in either form, good and bad.
+SITE_FIELDS = [f.name for f in dataclasses.fields(SiteConfig) if f.name != "domain"]
+NAMES = st.text(alphabet="ab.", max_size=3)
+MEMBERS = st.sampled_from([*ExpirationPolicy, *ReportingClass, *EventName])
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), NAMES,
+    MEMBERS, MEMBERS.map(lambda member: member.value),
+    st.lists(NAMES | MEMBERS.map(lambda member: member.value), max_size=2),
+    st.lists(NAMES, max_size=2).map(tuple), st.frozensets(MEMBERS, max_size=2),
+    st.dictionaries(NAMES, st.lists(NAMES, max_size=2) | st.lists(NAMES, max_size=2).map(tuple)
+                    | NAMES | st.integers(0, 1), max_size=2),
+)
+# A click-ID visit and a reload a day later, so that every site field is read.
+PROBE_STEPS = [
+    Step(1, "Visit", {"browser": "b1", "site": "shop.example", "url_extras": [["fbclid", "X"]]}),
+    Step(DAY_MS, "Reload", {"browser": "b1", "site": "shop.example"}),
+]
 
 
 class TestValidation:
@@ -83,7 +110,7 @@ class TestValidation:
             ("PlatformClick", {"account": "u1", "site": "shop.example", "element_class": None}),
             ("DeleteCookie", {"browser": "b1", "site": "shop.example", "name": {"_fbp": 1}}),
             ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": [["fbclid", 12]]}),
-            ("Reload", {"browser": "b1", "site": "shop.example", "event": EventName.PURCHASE}),
+            ("Visit", {"browser": "b1", "site": "shop.example", "url_extras": (("fbclid",),)}),
         ],
     )
     def test_bad_step_rejected_before_any_step_runs(self, action, params):
@@ -125,10 +152,10 @@ class TestValidation:
         ("Visit", {}), ("Reload", {}), ("Visit", {"url_extras": [["fbclid", "X"]]}),
     ])
     @pytest.mark.parametrize("site, consent_mode", [
-        ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
+        ({"consent_requires_interaction": True}, ConsentMode.NO_ACTION),
         ({"expiration_policy": ExpirationPolicy.BLOCKED}, ConsentMode.ACCEPT_ALL),
         ({"consent_compliant": True}, ConsentMode.REJECT_ALL),
-    ], ids=["no-pixel", "blocked", "consent-blocked"])
+    ], ids=["interaction-gated", "blocked", "consent-blocked"])
     def test_page_event_rejects_unknown_browser_where_the_pixel_is_off(
         self, action, params, site, consent_mode
     ):
@@ -145,15 +172,15 @@ class TestValidation:
         assert excinfo.value.step_index == 1
 
     @pytest.mark.parametrize("field, value, step_index", [
-        ("consent_mode", "AcceptAll", None),
-        ("sites", [{"domain": "shop.example"}], None),
+        ("consent_mode", "Maybe", None),
+        ("sites", [{"domain": "shop.example", "strips_fbclid": "no"}], None),
         ("steps", [Step(10, "Visit", {"browser": "b1", "site": "shop.example"}),
                    (20, "Reload", {"browser": "b1", "site": "shop.example"})], 1),
         ("sites", None, None),
         ("browsers", None, None),
         ("steps", None, None),
         ("sites", (SiteConfig(domain=d) for d in ["shop.example"]), None),
-    ], ids=["consent-mode-a-string", "site-a-dict", "step-a-tuple", "sites-none",
+    ], ids=["consent-mode-an-unknown-string", "site-a-bad-dict", "step-a-tuple", "sites-none",
             "browsers-none", "steps-none", "sites-a-generator"])
     def test_scenario_built_in_python_is_checked(self, field, value, step_index):
         ran = []
@@ -161,6 +188,84 @@ class TestValidation:
             run(simple_scenario(**{field: value}), observe=lambda step, world: ran.append(step))
         assert excinfo.value.step_index == step_index
         assert ran == []
+
+    @pytest.mark.parametrize("site", [
+        SiteConfig(domain="shop.example", expiration_policy="Never"),
+        SiteConfig(domain="shop.example", strips_fbclid="no"),
+        SiteConfig(domain="shop.example", first_hop_third_parties="xy"),
+        SiteConfig(domain="shop.example", first_hop_third_parties=["ads.example"]),
+        SiteConfig(domain="shop.example", pixel_id=5),
+        SiteConfig(domain="shop.example", tracked_events=None),
+        SiteConfig(domain="shop.example", tracked_events=frozenset({"PageView"})),
+        SiteConfig(domain="shop.example", first_hop_third_parties=("ads.example",),
+                   second_hop_forwarding=None),
+        SiteConfig(domain="shop.example", second_hop_forwarding={"ads.example": ["x.example"]}),
+        SiteConfig(domain="shop.example", second_hop_forwarding={1: ("x.example",)}),
+    ], ids=["policy-a-string", "strips-fbclid-a-string", "third-parties-a-string",
+            "third-parties-a-list", "pixel-id-an-int", "tracked-events-none",
+            "tracked-events-of-strings", "forwarding-none", "forwarding-to-a-list",
+            "forwarding-from-an-int"])
+    def test_site_built_in_python_is_checked_by_the_decoder_rules(self, site):
+        # Each field of a Python-built site must hold what decoding its JSON
+        # form gives, because the run uses it as it is.
+        ran = []
+        with pytest.raises(ValidationError, match=r"^sites\[0\]\.") as excinfo:
+            run(simple_scenario(sites=[site], steps=PROBE_STEPS),
+                observe=lambda step, world: ran.append(step))
+        assert excinfo.value.step_index is None
+        assert ran == []
+
+    @pytest.mark.parametrize("field, value, typed", [
+        ("consent_mode", "RejectAll", ConsentMode.REJECT_ALL),
+        ("sites", [{"domain": "shop.example", "expiration_policy": "Never"}],
+         [SiteConfig(domain="shop.example", expiration_policy=ExpirationPolicy.NEVER)]),
+        ("steps", [Step(1, "Reload", {"browser": "b1", "site": "shop.example",
+                                      "event": EventName.PURCHASE})],
+         [Step(1, "Reload", {"browser": "b1", "site": "shop.example", "event": "Purchase"})]),
+        ("steps", [Step(1, "Visit", {"browser": "b1", "site": "shop.example",
+                                     "url_extras": (("fbclid", "X"), ("a", "b"))})],
+         [Step(1, "Visit", {"browser": "b1", "site": "shop.example",
+                            "url_extras": [["fbclid", "X"], ["a", "b"]]})]),
+        ("steps", [Step(1, "CreateAccount", {"browser": "b1", "account": "u1"}),
+                   Step(2, "PlatformLoad", {"account": "u1"}),
+                   Step(3, "PlatformClick", {"account": "u1", "site": "shop.example",
+                                             "event": EventName.LEAD})],
+         [Step(1, "CreateAccount", {"browser": "b1", "account": "u1"}),
+          Step(2, "PlatformLoad", {"account": "u1"}),
+          Step(3, "PlatformClick", {"account": "u1", "site": "shop.example", "event": "Lead"})]),
+        ("browsers", [Browser("b1", incognito=True)], [{"id": "b1", "incognito": True}]),
+    ], ids=["consent-mode-a-string", "site-a-dict", "event-a-member", "url-extras-tuples",
+            "click-event-a-member", "browser-an-instance"])
+    def test_json_and_decoded_forms_run_alike(self, field, value, typed):
+        site = SiteConfig(domain="shop.example", tracked_events=frozenset(EventName))
+        both = [run(simple_scenario(**{"sites": [site], field: v})) for v in (value, typed)]
+        assert outcome(both[0]) == outcome(both[1])
+        assert len(both[0].emissions) > 0
+        # Either form is written as a scenario file that runs the same.
+        for v in (value, typed):
+            written = json.dumps(scenario_to_dict(simple_scenario(**{"sites": [site], field: v})))
+            assert outcome(run(scenario_from_dict(json.loads(written)))) == outcome(both[1])
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(SITE_FIELDS), FIELD_VALUES)
+    def test_site_built_in_python_follows_the_json_rules(self, field, value):
+        def attempt(site):
+            try:
+                return outcome(run(simple_scenario(sites=[site], steps=PROBE_STEPS)))
+            except ValidationError:
+                return None
+
+        as_json = {"domain": "shop.example", field: value}
+        from_json = attempt(as_json)
+        from_python = attempt(SiteConfig(domain="shop.example", **{field: value}))
+        if from_json is None:  # a value the decoder rejects is rejected in either form
+            assert from_python is None
+            return
+        if from_python is not None:
+            assert from_python == from_json
+        # The decoded value, held by a Python-built site, runs as the JSON form does.
+        decoded = getattr(simple_scenario(sites=[as_json]).validate()[1][0], field)
+        assert attempt(SiteConfig(domain="shop.example", **{field: decoded})) == from_json
 
     def test_tuples_serve_as_lists(self):
         scenario = simple_scenario()
@@ -506,10 +611,12 @@ class TestDeterminism:
 
 
 def decoded(scenario: Scenario) -> list:
-    """Each decoded browser and action as its class and field values."""
-    browsers, actions = scenario.validate()
-    return [(type(value), {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
-            for value in browsers + actions]
+    """The decoded consent mode and sites, and each decoded browser and action
+    as its class and field values."""
+    consent_mode, sites, browsers, actions = scenario.validate()
+    return [consent_mode, sites] + [
+        (type(value), {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+        for value in (*browsers, *actions)]
 
 
 class TestScenarioFiles:

@@ -66,7 +66,8 @@ class TestClickIds:
         feed = make_feed()
         first = feed.refresh_click_ids("u1", tick=0)
         second = feed.refresh_click_ids("u1", tick=5)
-        assert (first.load_id, second.load_id) == ("u1#0", "u1#1")
+        other = feed.refresh_click_ids("u2", tick=6)
+        assert (first.number, second.number, other.number) == (0, 1, 0)
         assert feed.current_loads["u1"] is second
 
     def test_slot_is_derived_once_on_first_read(self, monkeypatch):
@@ -177,7 +178,7 @@ class TestLedger:
         _, entry = feed.decorate_outbound(load, target, "ad-card")
         assert entry.account_id == "u1"
         assert entry.element_class == "ad-card"
-        assert entry.load_id == load.load_id
+        assert entry.number == load.number
         assert entry.issued_at == 9
         assert entry.target_origin == "shop.example"
         assert feed.ledger == [entry]

@@ -1,5 +1,6 @@
 """Cookie jar, browser, and world-state tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -174,6 +175,17 @@ class TestSiteConfig:
     def test_pixel_id_defaults_to_domain(self):
         assert SiteConfig(domain="shop.example").pixel_id == "px-shop.example"
         assert SiteConfig(domain="x.example", pixel_id="custom").pixel_id == "custom"
+
+    def test_fields_cannot_be_assigned(self):
+        # subdomain_index and fanout are derived once, so a field that changed
+        # after construction would leave them stale.
+        site = SiteConfig(domain="shop.example")
+        assert site.subdomain_index == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            site.domain = "a.b.example"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            site.first_hop_third_parties = ("ads.example",)
+        assert site.subdomain_index == 1 and site.fanout == ()
 
 
 class TestExternalIdRegistry:
