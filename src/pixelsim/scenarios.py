@@ -18,6 +18,7 @@ from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field
 from enum import Enum, EnumMeta
 from pathlib import Path
+from types import MappingProxyType
 
 from .cookies import EventName, TrackedUrl
 from .errors import SimulatorError, ValidationError
@@ -63,7 +64,9 @@ class Scenario:
         ``_decode``'s rules, and check that the steps are a list, that each
         site's domain is a URL origin, that the ticks increase and that no
         site or browser is listed twice; returns the decoded consent mode,
-        sites, browsers and actions, which ``run`` uses."""
+        sites, browsers and actions, which ``run`` uses.  A site ``_decode``
+        has checked or built before is not checked again, so sites shared
+        by many runs, or read from a file, are checked once."""
         _decode(int, self.seed, "seed")
         consent_mode = _decode(ConsentMode, self.consent_mode, "consent_mode")
         sites = _decode(tuple[SiteConfig, ...], self.sites, "sites")
@@ -358,7 +361,7 @@ def _to_json(value):
         return sorted(_to_json(v) for v in value)
     if isinstance(value, (tuple, list)):
         return [_to_json(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, (dict, MappingProxyType)):
         return {k: _to_json(v) for k, v in sorted(value.items())}
     return value
 
@@ -390,6 +393,17 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} too large to print"
 
 
+def _trusted(site: SiteConfig) -> SiteConfig:
+    """``site``, marked as checked, so that ``_decode`` returns it as it is from
+    now on.  The mark stays true: no field of a site can be assigned, and a
+    checked site's fields hold only immutable values, its forwarding table
+    being a read-only copy.  A copy made with ``dataclasses.replace`` is a
+    new instance, unmarked.  Only sites are marked: the other dataclasses
+    keep no instance dict to hold the mark."""
+    object.__setattr__(site, "_checked", True)
+    return site
+
+
 def _decode(tp, value, path: str | tuple):
     """``value`` as the type hint ``tp``; errors name ``path`` (see ``_at``).
 
@@ -397,12 +411,16 @@ def _decode(tp, value, path: str | tuple):
     a bool, an int an int and not a bool, below ``INT_LIMIT`` in magnitude, a
     str a str.  A ``list[X]`` is a list; a ``tuple[X, ...]`` or
     ``frozenset[X]`` a list or a value of its own type; a fixed
-    ``tuple[X, Y]`` a list or tuple of two; a ``dict[str, X]`` a dict.  An
+    ``tuple[X, Y]`` a list or tuple of two; a ``dict[str, X]`` a dict, or the
+    read-only ``MappingProxyType`` a ``SiteConfig`` holds its table in.  An
     enum is a member or a member's value.  A dataclass is an object naming
     only its fields and each one without a default, or an instance.  An
     instance's fields are used as they are, so each must equal what decoding
     it returns: there, ``"Never"`` is no ``ExpirationPolicy`` and ``["a"]``
-    no ``tuple[str, ...]``.
+    no ``tuple[str, ...]``.  A ``SiteConfig`` this has checked, or built from
+    an object, is marked (see ``_trusted``) and returned unchecked from then
+    on.  An error names the JSON form expected: a list, an object, or an
+    object or an instance of the dataclass.
     """
     kind = type(value)
     if kind is tp and tp in _JSON_TYPES:
@@ -413,13 +431,15 @@ def _decode(tp, value, path: str | tuple):
         raise ValidationError(f"{_at(path)} must be below 2**63 in magnitude")
     origin, args = _hint(tp)
     if origin is dataclass and kind is tp:  # its fields are used as they are
+        if getattr(value, "_checked", False):  # see _trusted
+            return value
         path = _at(path)
         for name, (hint, default) in args.items():
             item = getattr(value, name)
             if item is not default and (type(item) is not hint or hint not in _JSON_TYPES):
                 if (decoded := _decode(hint, item, f"{path}.{name}")) != item:
                     raise ValidationError(f"{path}.{name} must be {_shown(decoded)}")
-        return value
+        return _trusted(value) if tp is SiteConfig else value
     if origin is dataclass and kind is dict:
         decoded = value  # copied before the first field value that needs converting
         for name, item in value.items():
@@ -431,7 +451,7 @@ def _decode(tp, value, path: str | tuple):
                     decoded = dict(value)
                 decoded[name] = _decode(hint, item, f"{_at(path)}.{name}")
         try:
-            return tp(**decoded)
+            return _trusted(tp(**decoded)) if tp is SiteConfig else tp(**decoded)
         except TypeError:  # unknown names were rejected above, so a field is missing
             # Fields without a default come first in a dataclass, so missing[0]
             # is one of them and not a field with a default factory.
@@ -447,7 +467,7 @@ def _decode(tp, value, path: str | tuple):
         return origin(_decode(args[0], v, (path, i)) for i, v in enumerate(value))
     if (kind is list or kind is origin) and origin is tuple and len(value) == len(args):
         return tuple(_decode(a, v, (path, i)) for i, (a, v) in enumerate(zip(args, value)))
-    if kind is dict and origin is dict:
+    if (kind is dict or kind is MappingProxyType) and origin is dict:
         return {_decode(args[0], k, (path, k)): _decode(args[1], v, (path, k))
                 for k, v in value.items()}
     if isinstance(tp, EnumMeta):
@@ -457,5 +477,6 @@ def _decode(tp, value, path: str | tuple):
             raise ValidationError(
                 f"{_at(path)} must be one of {[member.value for member in tp]}, not {_shown(value)}"
             ) from None
-    expected = "an object" if origin is dataclass else repr(tp) if args else tp.__name__
+    expected = (f"an object or a {tp.__name__}" if origin is dataclass else "an object"
+                if dict in (origin, tp) else "a list" if args or tp is list else tp.__name__)
     raise ValidationError(f"{_at(path)} must be {expected}, not {_shown(value)}")

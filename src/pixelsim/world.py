@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .cookies import EventName
@@ -137,13 +138,18 @@ class SiteConfig:
     # the visitor interacts with it: dead under NoAction, alive otherwise.
     consent_requires_interaction: bool = False
     first_hop_third_parties: tuple[str, ...] = ()
+    # Held as a read-only copy of the table given, so the caller's dict can
+    # change without changing the site.
     second_hop_forwarding: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pixel_id == "":  # any other value is kept, and checked, as it is
             object.__setattr__(self, "pixel_id", "px-" + self.domain)
+        if type(table := self.second_hop_forwarding) in (dict, MappingProxyType):
+            object.__setattr__(self, "second_hop_forwarding", MappingProxyType(dict(table)))
 
-    # Derived once per site: the class is frozen, so no field changes after construction.
+    # Derived once per site: the class is frozen and its one table read-only,
+    # so no field changes after construction.
 
     @cached_property
     def subdomain_index(self) -> int:

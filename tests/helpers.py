@@ -1,4 +1,5 @@
-"""Shared test utilities: random scenario generation and independent oracles.
+"""Shared test utilities: random scenario generation, independent oracles and
+a counter of the decoder's site checks.
 
 The oracles here deliberately re-derive results from raw artifacts (the
 emission log, the click ledger, the site configs) with plain dicts and
@@ -10,7 +11,9 @@ destination from the site configs.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
+from pixelsim import scenarios
 from pixelsim.cookies import CLICK_ID_ALPHABET, EventReport, extract_fbclid
 from pixelsim.pixel import EmissionRecord
 from pixelsim.scenarios import RunResult, Scenario, Step
@@ -309,3 +312,32 @@ def external_id_components(reports: list[EventReport]) -> set[frozenset[tuple[st
     for key in parent:
         components.setdefault(find(key), set()).add(key)
     return {frozenset(keys) for keys in components.values()}
+
+
+@contextmanager
+def site_checks(module=scenarios):
+    """Yield a list that collects each site ``module._decode`` checks in the block.
+
+    A check is a ``SiteConfig`` built from an object, or the field loop run
+    over an instance.  That loop always decodes ``second_hop_forwarding``,
+    since a dict hint never passes as it is, so an instance decoded without
+    a nested ``_decode`` call was trusted, not checked.  ``module`` is the
+    ``pixelsim.scenarios`` module to count in.
+    """
+    decode, checked, nested = module._decode, [], [False]
+
+    def counting(tp, value, path):
+        if tp is not module.SiteConfig:
+            nested[0] = True
+            return decode(tp, value, path)
+        nested[0] = False
+        site = decode(tp, value, path)
+        if type(value) is dict or nested[0]:
+            checked.append(site)
+        return site
+
+    module._decode = counting
+    try:
+        yield checked
+    finally:
+        module._decode = decode

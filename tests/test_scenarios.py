@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pixelsim.cookies import EventName
 from pixelsim.errors import ValidationError
+from pixelsim.experiments import experiment_consent, experiment_propagation
 from pixelsim.pixel import FBP_NAME
 from pixelsim.scenarios import (
     Browser,
@@ -20,7 +21,7 @@ from pixelsim.scenarios import (
     scenario_to_dict,
 )
 from pixelsim.world import DAY_MS, ConsentMode, ExpirationPolicy, ReportingClass, SiteConfig
-from helpers import random_scenario
+from helpers import random_scenario, site_checks
 from test_raw_input import SCENARIO as EVERY_ACTION
 
 
@@ -214,6 +215,17 @@ class TestValidation:
                 observe=lambda step, world: ran.append(step))
         assert excinfo.value.step_index is None
         assert ran == []
+
+    @pytest.mark.parametrize("sites, message", [
+        (None, "sites must be a list, not None"),
+        ([3], "sites[0] must be an object or a SiteConfig, not 3"),
+        ([SiteConfig(domain="shop.example", tracked_events=None)],
+         "sites[0].tracked_events must be a list, not None"),
+    ], ids=["sites-none", "site-an-int", "tracked-events-none"])
+    def test_message_names_the_json_form(self, sites, message):
+        with pytest.raises(ValidationError) as excinfo:
+            run(simple_scenario(sites=sites))
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("field, value, typed", [
         ("consent_mode", "RejectAll", ConsentMode.REJECT_ALL),
@@ -732,3 +744,46 @@ class TestScenarioFiles:
         loaded = load_scenario(path)
         assert loaded.consent_mode is ConsentMode.REJECT_ALL
         assert loaded.steps == scenario.steps
+
+
+class TestSiteChecks:
+    """A site is checked once, however many runs use it, and runs as it was
+    checked."""
+
+    @pytest.mark.parametrize("experiment", [
+        lambda: experiment_propagation(12, {"second_hop_fanout": 2}, seed=3),
+        lambda: experiment_consent(12, seed=3),
+    ], ids=["propagation", "consent"])
+    def test_each_site_of_an_experiment_is_checked_once(self, experiment):
+        # Each experiment hands one list of sites to three runs.
+        with site_checks() as checked:
+            _, results = experiment()
+        assert len(results) == 3
+        assert len(checked) == len({id(site) for site in checked}) == 12
+
+    def test_each_site_of_a_file_is_checked_once(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_dict(random_scenario(5))), encoding="utf-8")
+        with site_checks() as checked:
+            result = run(load_scenario(path))
+        assert sorted(site.domain for site in checked) == sorted(result.world.sites)
+
+    def test_a_copied_site_is_checked_again(self):
+        site = SiteConfig(domain="shop.example")
+        with site_checks() as checked:
+            run(simple_scenario(sites=[site]))
+            run(simple_scenario(sites=[site]))
+            copy = dataclasses.replace(site)
+            run(simple_scenario(sites=[copy]))
+        assert [id(s) for s in checked] == [id(site), id(copy)]
+
+    def test_a_site_runs_as_checked_after_its_caller_edits_the_forwarding_table(self):
+        forwarding = {"tp.example": ("x.example",)}
+        site = SiteConfig(domain="shop.example", first_hop_third_parties=("tp.example",),
+                          second_hop_forwarding=forwarding)
+        scenario = simple_scenario(sites=[site])
+        first = run(scenario).report.counters["emissions_hop2"]
+        forwarding["tp.example"] += ("y.example",)
+        again = run(scenario).report.counters["emissions_hop2"]
+        written = run(scenario_from_dict(scenario_to_dict(scenario))).report.counters
+        assert first == again == written["emissions_hop2"] > 0

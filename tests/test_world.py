@@ -185,6 +185,8 @@ class TestSiteConfig:
             site.domain = "a.b.example"
         with pytest.raises(dataclasses.FrozenInstanceError):
             site.first_hop_third_parties = ("ads.example",)
+        with pytest.raises(TypeError):
+            site.second_hop_forwarding["tp.example"] = ()
         assert site.subdomain_index == 1 and site.fanout == ()
 
 
