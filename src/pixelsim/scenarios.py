@@ -54,9 +54,9 @@ class Browser:
 @dataclass
 class Scenario:
     seed: int
-    sites: list[SiteConfig]
-    browsers: list[dict]  # each a Browser or the object it decodes from
-    steps: list[Step]
+    sites: list[SiteConfig] = field(default_factory=list)
+    browsers: list[dict] = field(default_factory=list)  # Browsers, or what they decode from
+    steps: list[Step] = field(default_factory=list)
     consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL
 
     def validate(self) -> tuple[ConsentMode, tuple[SiteConfig, ...], tuple[Browser, ...], list]:
@@ -323,25 +323,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict) or "seed" not in data:
-        raise ValidationError("a scenario is an object with a 'seed'")
-    for name in data:
-        if name not in _hint(Scenario)[1]:
-            raise ValidationError(f"scenario has unknown field {name!r}")
-    steps = []
-    for i, raw in enumerate(_decode(list, data.get("steps", []), "steps")):
+    """The scenario a file's JSON object describes: its top level decodes as a
+    ``Scenario``, and each step's keys but its tick and action are its params."""
+    top = dict(_decode(dict, data, "scenario"))
+    steps = _decode(list, top.pop("steps", []), "scenario.steps")
+    scenario = _decode(Scenario, top, "scenario")
+    for i, raw in enumerate(steps):
         if not isinstance(raw, dict) or not {"tick", "action"} <= raw.keys():
             raise ValidationError(
                 f"a step is an object with a tick and an action, not {_shown(raw)}", i)
         params = dict(raw)
-        steps.append(Step(tick=params.pop("tick"), action=params.pop("action"), params=params))
-    return Scenario(
-        seed=_decode(int, data["seed"], "seed"),
-        consent_mode=_decode(ConsentMode, data.get("consent_mode", "AcceptAll"), "consent_mode"),
-        sites=_decode(list[SiteConfig], data.get("sites", []), "sites"),
-        browsers=_decode(list, data.get("browsers", []), "browsers"),
-        steps=steps,
-    )
+        scenario.steps.append(Step(params.pop("tick"), params.pop("action"), params))
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -395,7 +388,9 @@ def _shown(value) -> str:
 
 def _trusted(site: SiteConfig) -> SiteConfig:
     """``site``, marked as checked, so that ``_decode`` returns it as it is from
-    now on.  The mark stays true: no field of a site can be assigned, and a
+    now on.  A site is built unmarked, so that the mark adds no key to its
+    instance dict, which can cost that dict the key table CPython shares
+    among sites.  The mark stays: no field of a site can be assigned, and a
     checked site's fields hold only immutable values, its forwarding table
     being a read-only copy.  A copy made with ``dataclasses.replace`` is a
     new instance, unmarked.  Only sites are marked: the other dataclasses

@@ -143,6 +143,7 @@ class SiteConfig:
     second_hop_forwarding: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "_checked", False)  # see scenarios._trusted
         if self.pixel_id == "":  # any other value is kept, and checked, as it is
             object.__setattr__(self, "pixel_id", "px-" + self.domain)
         if type(table := self.second_hop_forwarding) in (dict, MappingProxyType):

@@ -318,26 +318,18 @@ def external_id_components(reports: list[EventReport]) -> set[frozenset[tuple[st
 def site_checks(module=scenarios):
     """Yield a list that collects each site ``module._decode`` checks in the block.
 
-    A check is a ``SiteConfig`` built from an object, or the field loop run
-    over an instance.  That loop always decodes ``second_hop_forwarding``,
-    since a dict hint never passes as it is, so an instance decoded without
-    a nested ``_decode`` call was trusted, not checked.  ``module`` is the
-    ``pixelsim.scenarios`` module to count in.
+    The decoder marks each site it checks, or builds from an object, with
+    ``module._trusted``, so each call to that is one check.  ``module`` is
+    the ``pixelsim.scenarios`` module to count in.
     """
-    decode, checked, nested = module._decode, [], [False]
+    trusted, checked = module._trusted, []
 
-    def counting(tp, value, path):
-        if tp is not module.SiteConfig:
-            nested[0] = True
-            return decode(tp, value, path)
-        nested[0] = False
-        site = decode(tp, value, path)
-        if type(value) is dict or nested[0]:
-            checked.append(site)
-        return site
+    def counting(site):
+        checked.append(site)
+        return trusted(site)
 
-    module._decode = counting
+    module._trusted = counting
     try:
         yield checked
     finally:
-        module._decode = decode
+        module._trusted = trusted

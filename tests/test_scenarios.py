@@ -737,6 +737,27 @@ class TestScenarioFiles:
             load_scenario(path)
         assert excinfo.value.step_index is None
 
+    def test_scenario_built_in_python_runs_like_a_file_with_only_a_seed(self):
+        # A file's top-level keys left out take Scenario's own defaults.
+        read = scenario_from_dict({"seed": 1})
+        assert scenario_to_dict(Scenario(seed=1)) == scenario_to_dict(read)
+        assert outcome(run(Scenario(seed=1))) == outcome(run(read))
+
+    @pytest.mark.parametrize("data, message", [
+        ({}, "scenario needs field 'seed'"),
+        ({"seed": 1, "consent_mod": "RejectAll"}, "scenario has unknown field 'consent_mod'"),
+        ([1], "scenario must be an object, not [1]"),
+        ({"seed": "1"}, "scenario.seed must be int, not '1'"),
+        ({"seed": 1, "steps": 5}, "scenario.steps must be a list, not 5"),
+        ({"seed": 1, "sites": [3]}, "scenario.sites[0] must be an object or a SiteConfig, not 3"),
+    ], ids=["no-seed", "misspelt-consent-mode", "a-list", "seed-a-string", "steps-an-int",
+            "site-an-int"])
+    def test_top_level_message_names_the_field(self, data, message):
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(data)
+        assert str(excinfo.value) == message
+        assert excinfo.value.step_index is None
+
     def test_load_scenario_file(self, tmp_path):
         scenario = simple_scenario(consent_mode=ConsentMode.REJECT_ALL)
         path = tmp_path / "scenario.json"
@@ -776,6 +797,16 @@ class TestSiteChecks:
             copy = dataclasses.replace(site)
             run(simple_scenario(sites=[copy]))
         assert [id(s) for s in checked] == [id(site), id(copy)]
+
+    def test_a_check_adds_no_attribute_to_a_site(self):
+        # The mark is set when the site is built: a key added to a site's
+        # instance dict later can cost it the key table its peers share.
+        site = SiteConfig(domain="shop.example")
+        built = list(vars(site))
+        with site_checks() as checked:
+            simple_scenario(sites=[site]).validate()
+        assert checked == [site]
+        assert list(vars(site)) == built
 
     def test_a_site_runs_as_checked_after_its_caller_edits_the_forwarding_table(self):
         forwarding = {"tp.example": ("x.example",)}
