@@ -430,13 +430,19 @@ def experiment_propagation(
 
     results: dict[str, RunResult] = {}
     report = MetricsReport()
+    # A signature equal to an earlier one (as the closure check expects across
+    # variants) is held once: the report is serialised with all variants alive.
+    held: dict[str, str] = {}
     for variant, value in values.items():
         steps = _crawl(0, domains, browser="crawler", url_extras=[["fbclid", value]])
         result = run(
             Scenario(seed=seed, sites=sites, browsers=[{"id": "crawler"}], steps=steps)
         )
         results[variant] = result
-        report.site_flags[variant] = emission_signatures(result.emissions, domains)
+        report.site_flags[variant] = {
+            site: held.setdefault(flags, flags)
+            for site, flags in emission_signatures(result.emissions, domains).items()
+        }
         counters = result.report.counters
         report.counters[f"third_parties_informed_{variant}"] = (
             counters["emissions_hop1"] + counters["emissions_hop2"]

@@ -19,6 +19,10 @@ from .social import PlatformFeed
 
 ProfileKey = tuple[str, str]  # (site domain, serialized _fbp value)
 
+# Held by every profile that has no external ID: a profile's set is immutable
+# and replaced when it grows, so one empty set serves them all.
+NO_EXTERNAL_IDS: frozenset[str] = frozenset()
+
 
 class Activity(NamedTuple):
     """One report on a profile's timeline; the fields are in sort order."""
@@ -34,7 +38,7 @@ class PseudonymProfile:
     keys: list[ProfileKey]  # sorted; ``keys[0]`` is the profile's key
     activity: list[Activity] = field(default_factory=list)
     linked_account: str | None = None
-    external_ids: set[str] = field(default_factory=set)
+    external_ids: frozenset[str] = NO_EXTERNAL_IDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +154,8 @@ class IdentityGraph:
             insort(profile.activity, Activity(report.timestamp, site, report.event.value, url))
         if report.external_id:  # an empty ID is absent, as in has_identifier
             self._external_index[(site, report.external_id)] = profile.keys[0]
-            profile.external_ids.add(report.external_id)
+            if report.external_id not in profile.external_ids:
+                profile.external_ids |= {report.external_id}
         if fbclid_value is not None:
             account = self._account_for_fbclid(fbclid_value, site)
             if account is not None:

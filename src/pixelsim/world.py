@@ -149,14 +149,15 @@ class SiteConfig:
         if type(table := self.second_hop_forwarding) in (dict, MappingProxyType):
             object.__setattr__(self, "second_hop_forwarding", MappingProxyType(dict(table)))
 
-    # Derived once per site: the class is frozen and its one table read-only,
-    # so no field changes after construction.
-
-    @cached_property
+    # A plain property: a key added to the instance dict after construction
+    # can cost that dict the key table CPython shares among sites.
+    @property
     def subdomain_index(self) -> int:
         """Label depth of the domain below its last label: ``shoes.com -> 1``."""
         return self.domain.count(".")
 
+    # Derived once per site: the class is frozen and its one table read-only,
+    # so no field changes after construction.
     @cached_property
     def fanout(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Each hop-1 third party, in configured order, with its hop-2 destinations."""

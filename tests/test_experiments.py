@@ -155,6 +155,12 @@ class TestPropagation:
         assert sigs["real"] == sigs["random"] == sigs["dummy"]
         assert set(results) == {"real", "random", "dummy"}
 
+    def test_variant_signatures_are_one_string(self):
+        # Equal signatures are held once across the three variants.
+        sigs = experiment_propagation(300)[0].site_flags
+        for site, signature in sigs["real"].items():
+            assert sigs["random"][site] is signature is sigs["dummy"][site], site
+
     def test_fanout_spec_takes_only_second_hop(self):
         for spec in ({"median": 3}, {"counts": [1] * 5}):
             with pytest.raises(ValueError, match="only second_hop_fanout"):

@@ -3,10 +3,10 @@ no per-object ``__dict__``.
 
 A run holds one of these for each input step, page event, report, profile,
 jar, page load or ledger entry, so a dict on each would grow its memory with
-the length of the history.  ``SiteConfig`` (its ``cached_property`` fields
-need an instance dict), ``MetricsReport`` (``to_json`` dumps ``vars``) and the
-one-per-run objects (``Scenario``, ``RunResult``, ``World``,
-``IdentityGraph``, ``PlatformFeed``) are left out on purpose.
+the length of the history.  ``SiteConfig`` (its ``cached_property``
+``fanout`` needs an instance dict), ``MetricsReport`` (``to_json`` dumps
+``vars``) and the one-per-run objects (``Scenario``, ``RunResult``,
+``World``, ``IdentityGraph``, ``PlatformFeed``) are left out on purpose.
 """
 
 import dataclasses

@@ -16,7 +16,7 @@ from pixelsim.cookies import (
 from pixelsim.errors import MalformedReport, UnknownAccount
 from pixelsim.scenarios import Scenario, Step, run
 from pixelsim.social import PlatformFeed
-from pixelsim.tracker import Activity, IdentityGraph
+from pixelsim.tracker import NO_EXTERNAL_IDS, Activity, IdentityGraph
 from pixelsim.world import SiteConfig
 from helpers import external_id_components, random_scenario
 
@@ -242,6 +242,24 @@ class TestExternalIds:
         outcome = graph.ingest(make_report(7, fbp=None, ext="ext-b"))
         assert outcome.profile_key == (SITE, "fb.1.0.4")
         assert graph.profile(outcome.profile_key) is survivor
+
+    def test_merge_leaves_the_absorbed_set_unchanged(self):
+        graph = IdentityGraph()
+        graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
+        graph.ingest(make_report(2, fbp="fb.1.0.2", ext="ext-b"))
+        absorbed = graph.profile((SITE, "fb.1.0.2"))
+        held = absorbed.external_ids
+        assert graph.ingest(make_report(3, fbp="fb.1.0.2", ext="ext-a")).merged
+        assert absorbed.external_ids is held and held == {"ext-b"}
+        assert graph.profile((SITE, "fb.1.0.2")).external_ids == {"ext-a", "ext-b"}
+
+    def test_profiles_without_an_external_id_share_one_set(self):
+        # A profile's set is immutable, so every empty one is the default.
+        for seed in range(50):
+            for profile in run(random_scenario(seed)).graph.profiles():
+                assert type(profile.external_ids) is frozenset, seed
+                if not profile.external_ids:
+                    assert profile.external_ids is NO_EXTERNAL_IDS, seed
 
     def test_rotated_external_id_does_not_merge(self):
         graph = IdentityGraph()

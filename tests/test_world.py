@@ -177,8 +177,8 @@ class TestSiteConfig:
         assert SiteConfig(domain="x.example", pixel_id="custom").pixel_id == "custom"
 
     def test_fields_cannot_be_assigned(self):
-        # subdomain_index and fanout are derived once, so a field that changed
-        # after construction would leave them stale.
+        # fanout is derived once, so a field that changed after construction
+        # would leave it stale.
         site = SiteConfig(domain="shop.example")
         assert site.subdomain_index == 1
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -188,6 +188,14 @@ class TestSiteConfig:
         with pytest.raises(TypeError):
             site.second_hop_forwarding["tp.example"] = ()
         assert site.subdomain_index == 1 and site.fanout == ()
+
+    def test_reading_the_subdomain_index_adds_no_key(self):
+        # A key added after construction can cost the instance dict the key
+        # table CPython shares among sites.
+        site = SiteConfig(domain="www.shop.example")
+        built = list(vars(site))
+        assert site.subdomain_index == 2
+        assert list(vars(site)) == built
 
 
 class TestExternalIdRegistry:
