@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import experiments
 from .cookies import TrackedUrl, parse_fbc, parse_fbp, serialize_fbc
@@ -100,6 +101,9 @@ def _parse_fractions(name: str, text: str | None) -> list[float] | None:
 def experiment_cmd(name, sites, fractions, seed, gap_days, out):
     """Replay a built-in experiment and print its metrics report."""
     fracs = _parse_fractions(name, fractions)
+    given = click.get_current_context().get_parameter_source("gap_days")
+    if name != "expiration" and given is ParameterSource.COMMANDLINE:
+        raise click.BadParameter("only expiration takes it", param_hint="'--gap-days'")
     result = None
     try:
         if name == "profiling":

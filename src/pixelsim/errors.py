@@ -14,10 +14,6 @@ class MalformedReport(SimulatorError):
     pass
 
 
-class DuplicateBrowser(SimulatorError):
-    pass
-
-
 class InvalidExpiry(SimulatorError):
     pass
 

@@ -26,7 +26,7 @@ from .pixel import EmissionRecord, PageEmissions, on_page_event
 from .reporting import MetricsReport
 from .social import PlatformFeed
 from .tracker import IdentityGraph
-from .world import ConsentMode, SiteConfig, World
+from .world import Browser, ConsentMode, SiteConfig, World
 
 # A scenario's seed and ticks are below this in magnitude, so that each
 # value a run derives from them prints as a decimal.
@@ -40,15 +40,6 @@ class Step:
     tick: int
     action: str
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Browser:
-    """A scenario's browser entry."""
-
-    id: str
-    incognito: bool = False
-    user_agent: str = "ua-default"
 
 
 @dataclass
@@ -129,15 +120,9 @@ def run(
     gc.disable()
     try:
         consent_mode, sites, browsers, actions = scenario.validate()
-        world = World(seed=scenario.seed)
-        world.consent_mode = consent_mode
+        world = World(scenario.seed, sites, browsers, consent_mode)
         feed = PlatformFeed(seed=scenario.seed)
         graph = IdentityGraph(click_ledger=feed)
-        for config in sites:
-            world.add_site(config)
-        for browser in browsers:
-            world.spawn_browser(browser.id, incognito=browser.incognito,
-                                user_agent=browser.user_agent)
 
         emissions: list[PageEmissions] = []
 
@@ -188,9 +173,9 @@ def run(
 
 # -- step actions: a step's params decode into the class named by its action.
 # ``apply`` runs once ``world.now`` is the step's tick; a page event returns
-# its emissions.  Actions, like ``Browser``, compare by identity and keep
-# object's repr: generating ``__eq__``, ``__hash__`` and ``__repr__`` for
-# these classes adds about 7 ms to every import of the package.
+# its emissions.  Actions, like ``world.Browser``, compare by identity and
+# keep object's repr: generating ``__eq__``, ``__hash__`` and ``__repr__``
+# for these classes adds about 7 ms to every import of the package.
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -236,7 +221,7 @@ class PlatformClick:
 
     account: str
     site: str
-    browser: str = ""  # empty: the first browser, in spawn order, logged into ``account``
+    browser: str = ""  # empty: the scenario's first browser logged into ``account``
     element_class: str = "feed-link"
     event: EventName = EventName.PAGE_VIEW
 

@@ -59,7 +59,7 @@ class IngestOutcome:
 class IdentityGraph:
     """Profiles, click-ledger joins, and external-ID bindings."""
 
-    def __init__(self, click_ledger: PlatformFeed | None = None):
+    def __init__(self, click_ledger: PlatformFeed):
         self.click_ledger = click_ledger
         self._by_key: dict[ProfileKey, PseudonymProfile] = {}
         self._external_index: dict[tuple[str, str], ProfileKey] = {}
@@ -183,8 +183,6 @@ class IdentityGraph:
         return None
 
     def _account_for_fbclid(self, fbclid_value: str, site: str) -> str | None:
-        if self.click_ledger is None:
-            return None
         entries = self.click_ledger.entries_for(fbclid_value)
         # Prefer the latest issuance whose link targeted this site; an ID
         # reused across other targets falls back to the most recent issuance.

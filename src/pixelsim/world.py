@@ -1,6 +1,7 @@
 """Entities of the simulated ecosystem: browsers, cookie jars, sites.
 
-A :class:`World` owns every piece of mutable state for one simulation run.
+A :class:`World` owns every piece of mutable state for one simulation run,
+and is built from a scenario's site and browser configs.
 Its clock, ``now``, is the tick of the step being run.  All randomness
 flows from the single seeded generator it holds; nothing in the package
 ever reads the wall clock.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -19,7 +21,6 @@ from typing import NamedTuple
 from .cookies import EventName
 from .errors import (
     DuplicateAccount,
-    DuplicateBrowser,
     InvalidExpiry,
     UnknownAccount,
     UnknownBrowser,
@@ -110,8 +111,8 @@ class CookieJar:
 
 @dataclass(slots=True)
 class BrowserProfile:
-    incognito: bool = False
-    user_agent: str = "ua-default"
+    incognito: bool
+    user_agent: str
     jars: dict[str, CookieJar] = field(default_factory=dict)
     logged_in: str | None = None  # account id
 
@@ -165,6 +166,17 @@ class SiteConfig:
         return tuple((tp, forwarding.get(tp, ())) for tp in self.first_hop_third_parties)
 
 
+# Compares by identity and keeps object's repr, like the step actions (see
+# scenarios.py).
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Browser:
+    """A scenario's browser entry."""
+
+    id: str
+    incognito: bool = False
+    user_agent: str = "ua-default"
+
+
 @dataclass(slots=True)
 class Account:
     created_at: int  # ms
@@ -208,42 +220,29 @@ class ExternalIdRegistry:
 
 
 class World:
-    """All mutable state of one simulation run."""
+    """All mutable state of one simulation run, built from its scenario's
+    sites, browsers and consent mode."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int, sites: Iterable[SiteConfig] = (),
+                 browsers: Iterable[Browser] = (),
+                 consent_mode: ConsentMode = ConsentMode.ACCEPT_ALL):
         self.rng = random.Random(seed)
         self.now = 0  # ms since UNIX epoch: the current step's tick, 0 before the first
-        self.browsers: dict[str, BrowserProfile] = {}
-        self._spawn_rank: dict[str, int] = {}  # browser id -> its place in spawn order
-        self._incognito_browsers: list[BrowserProfile] = []
+        self.sites = {site.domain: site for site in sites}
+        self.browsers = {b.id: BrowserProfile(b.incognito, b.user_agent) for b in browsers}
+        self._rank = {browser_id: rank for rank, browser_id in enumerate(self.browsers)}
+        self._incognito_browsers = [b for b in self.browsers.values() if b.incognito]
         self._sessions: dict[str, set[str]] = {}  # account id -> browsers logged into it
-        self.sites: dict[str, SiteConfig] = {}
         self.accounts: dict[str, Account] = {}
         self.external_ids = ExternalIdRegistry(seed)
-        self.consent_mode = ConsentMode.ACCEPT_ALL
+        self.consent_mode = consent_mode
 
     # -- entity management -------------------------------------------------
 
-    def spawn_browser(
-        self, browser_id: str, incognito: bool = False, user_agent: str = "ua-default"
-    ) -> None:
-        if browser_id in self.browsers:
-            raise DuplicateBrowser(browser_id)
-        browser = BrowserProfile(incognito=incognito, user_agent=user_agent)
-        self._spawn_rank[browser_id] = len(self.browsers)
-        self.browsers[browser_id] = browser
-        if incognito:
-            self._incognito_browsers.append(browser)
-
-    def add_site(self, config: SiteConfig) -> None:
-        self.sites[config.domain] = config
-
-    def create_account(self, account_id: str) -> Account:
+    def create_account(self, account_id: str) -> None:
         if account_id in self.accounts:
             raise DuplicateAccount(account_id)
-        account = Account(created_at=self.now)
-        self.accounts[account_id] = account
-        return account
+        self.accounts[account_id] = Account(created_at=self.now)
 
     def log_in(self, browser_id: str, account_id: str) -> None:
         """Log the browser into ``account_id``, and out of its previous account."""
@@ -254,8 +253,8 @@ class World:
         self._sessions.setdefault(account_id, set()).add(browser_id)
 
     def browser_logged_into(self, account_id: str) -> str | None:
-        """The first browser, in spawn order, logged into ``account_id``."""
-        return min(self._sessions.get(account_id, ()), key=self._spawn_rank.__getitem__,
+        """The first browser, in the order given, logged into ``account_id``."""
+        return min(self._sessions.get(account_id, ()), key=self._rank.__getitem__,
                    default=None)
 
     def browser(self, browser_id: str) -> BrowserProfile:

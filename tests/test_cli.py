@@ -160,6 +160,8 @@ class TestExperiment:
             ["profiling", "--fractions", "0.5,0.2,0.2,0.2"],
             ["external-id", "--fractions", "1.5"],
             ["expiration", "--gap-days", "0"],
+            ["profiling", "--gap-days", "2"],
+            ["four-day", "--gap-days", "2"],
             ["profiling", "--sites", "-3"],
             ["four-day", "--seed", str(2**63)],
             ["four-day", "--seed", str(-(2**63))],

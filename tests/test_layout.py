@@ -57,7 +57,7 @@ INSTANCES = [
     Anomaly("conflicting-link", "a1 vs a2"),
     PageLoad("a1", 0, 1),
     ClickLedgerEntry(CLICK_ID, "a1", "feed-link", 0, 1, "shop.example"),
-    BrowserProfile(),
+    BrowserProfile(False, "ua-default"),
     Account(1),
     CookieJar(),
 ]

@@ -10,6 +10,7 @@ from pixelsim.world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
     TRACKER_DOMAIN,
+    Browser,
     ConsentMode,
     ExpirationPolicy,
     ReportingClass,
@@ -21,11 +22,8 @@ from helpers import bfs_destination_oracle, forwarding_reference, random_scenari
 SITE = "www.shoes.com"
 
 
-def make_world(**site_kwargs) -> World:
-    world = World(seed=1)
-    world.spawn_browser("b1")
-    world.add_site(SiteConfig(domain=SITE, **site_kwargs))
-    return world
+def make_world(consent_mode=ConsentMode.ACCEPT_ALL, **site_kwargs) -> World:
+    return World(1, [SiteConfig(domain=SITE, **site_kwargs)], [Browser("b1")], consent_mode)
 
 
 def visit(
@@ -203,8 +201,7 @@ class TestStripping:
 class TestConsent:
     @pytest.mark.parametrize("mode", [ConsentMode.REJECT_ALL, ConsentMode.NO_ACTION])
     def test_compliant_site_blocked_without_acceptance(self, mode):
-        world = make_world(consent_compliant=True)
-        world.consent_mode = mode
+        world = make_world(mode, consent_compliant=True)
         assert visit(world) == []
         assert jar(world).read(FBP_NAME, 0) is None
 
@@ -216,8 +213,7 @@ class TestConsent:
         "mode", [ConsentMode.ACCEPT_ALL, ConsentMode.REJECT_ALL, ConsentMode.NO_ACTION]
     )
     def test_noncompliant_site_ignores_consent(self, mode):
-        world = make_world(consent_compliant=False)
-        world.consent_mode = mode
+        world = make_world(mode, consent_compliant=False)
         assert len(visit(world)) == 1
 
     def test_interaction_gated_site_dead_only_under_no_action(self):
@@ -226,8 +222,7 @@ class TestConsent:
             (ConsentMode.REJECT_ALL, 1),
             (ConsentMode.NO_ACTION, 0),
         ]:
-            world = make_world(consent_requires_interaction=True)
-            world.consent_mode = mode
+            world = make_world(mode, consent_requires_interaction=True)
             assert len(visit(world)) == expect
 
 
@@ -320,9 +315,7 @@ class TestPropagation:
                 "cdn.two.example": ("sub.tracker.example",),
             },
         )
-        world = World(seed=1)
-        world.spawn_browser("b1")
-        world.add_site(site)
+        world = World(1, [site], [Browser("b1")])
         emissions = visit(world)
         hop1 = {e.report.destination for e in emissions if e.hop == 1}
         hop2 = {e.report.destination for e in emissions if e.hop == 2}
@@ -375,8 +368,7 @@ class TestPropagation:
         ({"consent_requires_interaction": True}, ConsentMode.NO_ACTION),
     ])
     def test_page_without_pixel_is_an_empty_iterable(self, site_kwargs, mode):
-        world = make_world(first_hop_third_parties=("ads.partner.example",), **site_kwargs)
-        world.consent_mode = mode
+        world = make_world(mode, first_hop_third_parties=("ads.partner.example",), **site_kwargs)
         page = on_page_event(world, "b1", TrackedUrl.parse(f"https://{SITE}/"),
                              EventName.PAGE_VIEW)
         assert page is not None

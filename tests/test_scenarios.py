@@ -181,8 +181,9 @@ class TestValidation:
         ("browsers", None, None),
         ("steps", None, None),
         ("sites", (SiteConfig(domain=d) for d in ["shop.example"]), None),
+        ("browsers", [Browser("b1"), Browser("b1")], None),
     ], ids=["consent-mode-an-unknown-string", "site-a-bad-dict", "step-a-tuple", "sites-none",
-            "browsers-none", "steps-none", "sites-a-generator"])
+            "browsers-none", "steps-none", "sites-a-generator", "browser-listed-twice"])
     def test_scenario_built_in_python_is_checked(self, field, value, step_index):
         ran = []
         with pytest.raises(ValidationError) as excinfo:
@@ -434,7 +435,7 @@ class TestExecution:
         assert [r.browser_id for r in result.log] == ["b1"] * len(result.log)
 
     def test_click_without_browser_lands_on_first_logged_in_browser(self):
-        # b2 logs in first, but b1 comes first in spawn order.
+        # b2 logs in first, but b1 comes first in the scenario's browsers.
         scenario = simple_scenario(
             browsers=[{"id": "b1"}, {"id": "b2"}],
             steps=[

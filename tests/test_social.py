@@ -14,7 +14,7 @@ from pixelsim.cookies import (
 from pixelsim.pixel import FBC_NAME, on_page_event
 from pixelsim.scenarios import Scenario, Step, run
 from pixelsim.social import ARRAY_SIZE, PlatformFeed
-from pixelsim.world import SiteConfig, World
+from pixelsim.world import Browser, SiteConfig, World
 
 TARGETS = [
     TrackedUrl.parse(f"https://{domain}/")
@@ -251,9 +251,7 @@ class TestRecordClick:
 
     def _land(self, url: TrackedUrl):
         """Browser b1 follows ``url``; returns its _fbc cookie and the records."""
-        world = World(seed=1)
-        world.spawn_browser("b1")
-        world.add_site(SiteConfig(domain="shop.example"))
+        world = World(1, [SiteConfig(domain="shop.example")], [Browser("b1")])
         records = list(on_page_event(world, "b1", url, EventName.PAGE_VIEW))
         return world.browser("b1").jar("shop.example").read(FBC_NAME, 0), records
 

@@ -48,7 +48,7 @@ def feed_with_click(account="u1", element="ad-card", target=SITE, tick=0):
 
 class TestProfiles:
     def test_reports_with_same_fbp_share_a_profile(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1))
         graph.ingest(make_report(2))
         assert len(graph.profiles()) == 1
@@ -56,7 +56,7 @@ class TestProfiles:
         assert [a.timestamp for a in profile.activity] == [1, 2]
 
     def test_same_fbp_value_on_other_site_is_another_profile(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1))
         graph.ingest(make_report(2, site="other.example"))
         assert len(graph.profiles()) == 2
@@ -64,14 +64,14 @@ class TestProfiles:
     def test_duplicate_wire_report_ignored(self):
         # The resent report is the same value, or a copy decoded off the wire.
         for resent in (make_report(1), decode_report(encode_report(make_report(1)))):
-            graph = IdentityGraph()
+            graph = IdentityGraph(PlatformFeed(seed=0))
             first = graph.ingest(make_report(1))
             second = graph.ingest(resent)
             assert not first.duplicate and second.duplicate
             assert len(graph.profile((SITE, "fb.1.0.42")).activity) == 1
 
     def test_identifier_free_report_is_orphaned(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         outcome = graph.ingest(make_report(1, fbp=None))
         assert outcome.orphan
         assert graph.orphans == 1
@@ -90,7 +90,7 @@ class TestMalformedReports:
         assert len(graph.profile((SITE, "fb.1.0.42")).activity) == 1
 
     def test_malformed_fbp_is_rejected_on_every_retry(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         for _ in range(2):
             with pytest.raises(MalformedReport):
                 graph.ingest(make_report(1, fbp="fb.1.x.42"))
@@ -98,10 +98,10 @@ class TestMalformedReports:
         assert not graph.ingest(make_report(1)).duplicate
 
     def test_over_long_fbp_segment_is_rejected_without_partial_state(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         with pytest.raises(MalformedReport):
             graph.ingest(make_report(1, fbp="fb.1.0." + "9" * 5000))
-        assert graph.dump() == IdentityGraph().dump()
+        assert graph.dump() == IdentityGraph(PlatformFeed(seed=0)).dump()
 
 
 class TestLedgerJoin:
@@ -163,7 +163,7 @@ class TestLedgerJoin:
 
 class TestExternalIds:
     def test_merge_across_cookie_loss(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
         outcome = graph.ingest(make_report(2, fbp="fb.1.9.2", ext="ext-a"))
         assert outcome.merged
@@ -173,7 +173,7 @@ class TestExternalIds:
         assert [a.timestamp for a in profile.activity] == [1, 2]
 
     def test_merge_keeps_equal_timestamps_in_arrival_order(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(5, fbp="fb.1.0.1", ext="ext-a"))
         graph.ingest(make_report(7, fbp="fb.1.0.1"))
         graph.ingest(make_report(5, fbp="fb.1.9.2"))
@@ -190,7 +190,7 @@ class TestExternalIds:
         assert profile.keys[0] == (SITE, "fb.1.0.1")
 
     def test_new_cookie_joins_the_bound_profile(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(5, fbp="fb.1.0.3", ext="ext-a"))
         graph.ingest(make_report(5, fbp="fb.1.0.1", ext="ext-a"))
         bound = graph.profile((SITE, "fb.1.0.3"))
@@ -207,7 +207,7 @@ class TestExternalIds:
         assert bound.activity[2] == arrived[0] and bound.activity[2] is not arrived[0]
 
     def test_binding_of_an_absorbed_profile_follows_the_merge(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
         graph.ingest(make_report(2, fbp="fb.1.0.2", ext="ext-b"))
         assert graph.ingest(make_report(3, fbp="fb.1.0.2", ext="ext-a")).merged
@@ -216,7 +216,7 @@ class TestExternalIds:
         assert len(graph.profiles()) == 1
 
     def test_keys_arriving_in_decreasing_order_stay_sorted(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
 
         def ingest(ts, fbp, ext):
             outcome = graph.ingest(make_report(ts, fbp=fbp, ext=ext))
@@ -244,7 +244,7 @@ class TestExternalIds:
         assert graph.profile(outcome.profile_key) is survivor
 
     def test_merge_leaves_the_absorbed_set_unchanged(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
         graph.ingest(make_report(2, fbp="fb.1.0.2", ext="ext-b"))
         absorbed = graph.profile((SITE, "fb.1.0.2"))
@@ -262,14 +262,14 @@ class TestExternalIds:
                     assert profile.external_ids is NO_EXTERNAL_IDS, seed
 
     def test_rotated_external_id_does_not_merge(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
         graph.ingest(make_report(2, fbp="fb.1.9.2", ext="ext-b"))
         assert len(graph.profiles()) == 2
 
     def test_empty_external_id_merges_nothing(self):
         # A wire "ud[external_id]=" decodes to ""; like has_identifier, ingest treats it as absent.
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         for ts, fbp in ((1, "fb.1.0.1"), (2, "fb.1.9.2")):
             report = decode_report(encode_report(make_report(ts, fbp=fbp, ext="")))
             assert report.external_id == ""
@@ -278,19 +278,19 @@ class TestExternalIds:
         assert all(not p.external_ids for p in graph.profiles())
 
     def test_external_id_scoped_per_site(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
         graph.ingest(make_report(2, fbp="fb.1.9.2", ext="ext-a", site="other.example"))
         assert len(graph.profiles()) == 2
 
     def test_cookieless_report_resolves_through_external_id(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
         outcome = graph.ingest(make_report(2, fbp=None, ext="ext-a"))
         assert outcome.profile_key == (SITE, "fb.1.0.1")
 
     def test_unknown_cookieless_external_id_matches_nothing(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         outcome = graph.ingest(make_report(1, fbp=None, ext="ext-new"))
         assert outcome.profile_key is None
         assert graph.profiles() == []
@@ -330,7 +330,7 @@ class TestExternalIds:
 
 class TestQueries:
     def test_account_history_requires_known_account(self):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         with pytest.raises(UnknownAccount):
             graph.account_history("ghost")
 
@@ -382,7 +382,7 @@ class TestQueries:
 
     def test_dump_is_deterministic(self):
         def build():
-            graph = IdentityGraph()
+            graph = IdentityGraph(PlatformFeed(seed=0))
             graph.ingest(make_report(2, fbp="fb.1.0.2"))
             graph.ingest(make_report(1, fbp="fb.1.0.1", ext="ext-a"))
             return graph.dump()
@@ -450,7 +450,7 @@ class TestInvariants:
         )
     )
     def test_external_id_joins_match_a_union_find(self, reports):
-        graph = IdentityGraph()
+        graph = IdentityGraph(PlatformFeed(seed=0))
         sent = [make_report(ts, fbp=fbp, ext=ext, site=site) for ts, fbp, site, ext in reports]
         for report in sent:
             graph.ingest(report)

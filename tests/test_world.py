@@ -7,7 +7,6 @@ import pytest
 
 from pixelsim.errors import (
     DuplicateAccount,
-    DuplicateBrowser,
     InvalidExpiry,
     UnknownAccount,
     UnknownBrowser,
@@ -16,6 +15,7 @@ from pixelsim.errors import (
 from pixelsim.world import (
     COOKIE_LIFETIME_MS,
     DAY_MS,
+    Browser,
     CookieEntry,
     CookieJar,
     ExternalIdRegistry,
@@ -110,11 +110,18 @@ class TestCookieJar:
 
 
 class TestWorld:
-    def test_duplicate_browser_rejected(self):
-        world = World(seed=1)
-        world.spawn_browser("b1")
-        with pytest.raises(DuplicateBrowser):
-            world.spawn_browser("b1")
+    def test_world_keeps_the_order_it_was_given(self):
+        world = World(1, browsers=[Browser("b2"), Browser("b1", incognito=True), Browser("b0")])
+        world.log_in("b0", "u1")
+        world.log_in("b2", "u1")
+        assert world.browser_logged_into("u1") == "b2"
+        assert list(world.browsers) == ["b2", "b1", "b0"]
+        for bid in world.browsers:
+            world.browser(bid).jar("a.example").write("_fbp", "fb.1.0.1", 0, DAY_MS)
+        world.end_step()
+        assert {bid: bool(b.jars) for bid, b in world.browsers.items()} == {
+            "b2": True, "b1": False, "b0": True,
+        }
 
     def test_duplicate_account_rejected(self):
         world = World(seed=1)
@@ -132,9 +139,7 @@ class TestWorld:
             world.account("nope")
 
     def test_incognito_jars_cleared_at_end_of_step(self):
-        world = World(seed=1)
-        world.spawn_browser("priv", incognito=True)
-        world.spawn_browser("norm")
+        world = World(1, browsers=[Browser("priv", incognito=True), Browser("norm")])
         for bid in ("priv", "norm"):
             world.browser(bid).jar("a.example").write("_fbp", "fb.1.0.1", 0, DAY_MS)
         world.end_step()
@@ -142,8 +147,7 @@ class TestWorld:
         assert world.browser("norm").jar("a.example").read("_fbp", world.now) == "fb.1.0.1"
 
     def test_jars_are_domain_scoped(self):
-        world = World(seed=1)
-        world.spawn_browser("b1")
+        world = World(1, browsers=[Browser("b1")])
         world.browser("b1").jar("a.example").write("_fbp", "x", 0, 100)
         assert world.browser("b1").jar("b.example").read("_fbp", world.now) is None
 
@@ -156,11 +160,11 @@ class TestWorld:
 
     def test_snapshot_is_deterministic(self):
         def build():
-            world = World(seed=3)
-            world.spawn_browser("b2")
-            world.spawn_browser("b1")
-            world.add_site(SiteConfig(domain="z.example"))
-            world.add_site(SiteConfig(domain="a.example"))
+            world = World(
+                3,
+                [SiteConfig(domain="z.example"), SiteConfig(domain="a.example")],
+                [Browser("b2"), Browser("b1")],
+            )
             world.create_account("u1")
             world.browser("b1").jar("a.example").write("_fbp", "fb.1.0.5", 0, 100)
             return world.snapshot()
