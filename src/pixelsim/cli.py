@@ -101,9 +101,11 @@ def _parse_fractions(name: str, text: str | None) -> list[float] | None:
 def experiment_cmd(name, sites, fractions, seed, gap_days, out):
     """Replay a built-in experiment and print its metrics report."""
     fracs = _parse_fractions(name, fractions)
-    given = click.get_current_context().get_parameter_source("gap_days")
-    if name != "expiration" and given is ParameterSource.COMMANDLINE:
+    given = click.get_current_context().get_parameter_source
+    if name != "expiration" and given("gap_days") is ParameterSource.COMMANDLINE:
         raise click.BadParameter("only expiration takes it", param_hint="'--gap-days'")
+    if name == "four-day" and given("sites") is ParameterSource.COMMANDLINE:
+        raise click.BadParameter("four-day does not take it", param_hint="'--sites'")
     result = None
     try:
         if name == "profiling":

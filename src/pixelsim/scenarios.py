@@ -53,11 +53,12 @@ class Scenario:
     def validate(self) -> tuple[ConsentMode, tuple[SiteConfig, ...], tuple[Browser, ...], list]:
         """Decode the seed, the consent mode, every site, browser and step by
         ``_decode``'s rules, and check that the steps are a list, that each
-        site's domain is a URL origin, that the ticks increase and that no
-        site or browser is listed twice; returns the decoded consent mode,
-        sites, browsers and actions, which ``run`` uses.  A site ``_decode``
-        has checked or built before is not checked again, so sites shared
-        by many runs, or read from a file, are checked once."""
+        site's domain is a URL origin, that no browser id is empty, that the
+        ticks increase and that no site or browser is listed twice; returns
+        the decoded consent mode, sites, browsers and actions, which ``run``
+        uses.  A site ``_decode`` has checked or built before is not checked
+        again, so sites shared by many runs, or read from a file, are
+        checked once."""
         _decode(int, self.seed, "seed")
         consent_mode = _decode(ConsentMode, self.consent_mode, "consent_mode")
         sites = _decode(tuple[SiteConfig, ...], self.sites, "sites")
@@ -69,6 +70,8 @@ class Scenario:
             if not site.domain or "/" in site.domain or "?" in site.domain:
                 raise ValidationError(f"sites[{i}] domain {site.domain!r} is not a URL origin")
         domains, ids = [s.domain for s in sites], [b.id for b in browsers]
+        if "" in ids:  # a PlatformClick's empty browser means the first one logged in
+            raise ValidationError(f"browsers[{ids.index('')}] id must not be empty")
         for kind, names in ("site", domains), ("browser", ids):
             repeated = [name for name, count in Counter(names).items() if count > 1]
             if repeated:
@@ -94,7 +97,6 @@ class Scenario:
 
 @dataclass
 class RunResult:
-    scenario: Scenario
     world: World
     feed: PlatformFeed
     graph: IdentityGraph
@@ -159,7 +161,6 @@ def run(
             }
         )
         return RunResult(
-            scenario=scenario,
             world=world,
             feed=feed,
             graph=graph,

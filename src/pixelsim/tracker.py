@@ -213,7 +213,7 @@ class IdentityGraph:
 
     def account_history(self, account_id: str) -> list[Activity]:
         if account_id not in self.known_accounts:
-            raise UnknownAccount(account_id)
+            raise UnknownAccount(f"unknown account {account_id!r}")
         merged: list[Activity] = []
         for profile in self.profiles():
             if profile.linked_account == account_id:

@@ -241,7 +241,7 @@ class World:
 
     def create_account(self, account_id: str) -> None:
         if account_id in self.accounts:
-            raise DuplicateAccount(account_id)
+            raise DuplicateAccount(f"account {account_id!r} already exists")
         self.accounts[account_id] = Account(created_at=self.now)
 
     def log_in(self, browser_id: str, account_id: str) -> None:
@@ -261,19 +261,19 @@ class World:
         try:
             return self.browsers[browser_id]
         except KeyError:
-            raise UnknownBrowser(browser_id) from None
+            raise UnknownBrowser(f"unknown browser {browser_id!r}") from None
 
     def site(self, domain: str) -> SiteConfig:
         try:
             return self.sites[domain]
         except KeyError:
-            raise UnknownSite(domain) from None
+            raise UnknownSite(f"unknown site {domain!r}") from None
 
     def account(self, account_id: str) -> Account:
         try:
             return self.accounts[account_id]
         except KeyError:
-            raise UnknownAccount(account_id) from None
+            raise UnknownAccount(f"unknown account {account_id!r}") from None
 
     def end_step(self) -> None:
         """Incognito jars do not survive past the step that filled them."""

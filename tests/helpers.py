@@ -207,7 +207,7 @@ def distribution_oracle(result: RunResult, scope: str) -> list[int]:
         if record.hop in (1, 2):
             emitted.add(record.report.page_url.origin)
     samples = []
-    for site in result.scenario.sites:
+    for site in result.world.sites.values():
         if site.domain not in emitted:
             samples.append(0)
             continue
@@ -252,8 +252,8 @@ def forwarding_reference(result: RunResult) -> list[EmissionRecord]:
     event, time and _fbp that a page event hands every destination are
     read from the run.
     """
-    assert result.scenario.consent_mode is ConsentMode.ACCEPT_ALL  # consent is not modelled
-    configs = {site.domain: site for site in result.scenario.sites}
+    assert result.world.consent_mode is ConsentMode.ACCEPT_ALL  # consent is not modelled
+    configs = result.world.sites
     records = []
     for page in result.emissions:
         site = configs[page.site]

@@ -173,7 +173,7 @@ def test_criterion_3_oracles():
         result = run(random_scenario(seed))
         assert result.graph.resolve() == resolve_oracle(result), f"seed {seed}"
 
-        domains = [s.domain for s in result.scenario.sites]
+        domains = list(result.world.sites)
         distributions = third_party_distribution(result.emissions, domains)
         assert distributions.keys() == {"unique_first_hop", "total_two_hop"}
         for scope, observed in distributions.items():
@@ -181,7 +181,7 @@ def test_criterion_3_oracles():
                 f"seed {seed} scope {scope}"
             )
         sets = destination_sets(result.emissions, domains)
-        for site in result.scenario.sites:
+        for site in result.world.sites.values():
             hop1, hop2 = sets[site.domain]
             if hop1 or hop2:
                 assert (hop1, hop2) == bfs_destination_oracle(site), f"seed {seed}"

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -463,6 +464,15 @@ class TestExecution:
         assert len(seen) == len(scenario.steps)
         assert all(a is b for a, b in zip(seen, scenario.steps))
 
+    def test_result_holds_no_reference_to_its_scenario(self):
+        # The caller holds its input; once it lets go, the steps are freed.
+        scenario = click_scenario()
+        ref = weakref.ref(scenario)
+        result = run(scenario)
+        del scenario
+        assert ref() is None
+        assert sorted(result.world.snapshot()["accounts"]) == ["u1", "u2"]
+
 
 def click_scenario() -> Scenario:
     """Two accounts, each loading the feed twice and clicking out after each load."""
@@ -605,6 +615,8 @@ class TestRotateExternalId:
         with pytest.raises(ValidationError) as excinfo:
             run(scenario)
         assert excinfo.value.step_index == 1
+        unknown = "site" if params["browser"] == "b1" else "browser"
+        assert str(excinfo.value) == f"step 1: unknown {unknown} {params[unknown]!r}"
 
 
 class TestDeterminism:
@@ -709,6 +721,7 @@ class TestScenarioFiles:
             (lambda d: d.update(seed=-(2**63)), None),
             (lambda d: d["steps"][1].update(tick=10**5000), 1),
             (lambda d: d["steps"][1].update(tick=2**63), 1),
+            (lambda d: d["browsers"].append({"id": ""}), None),
         ],
         ids=[
             "unknown-consent-mode", "misspelt-consent-mode", "no-seed", "no-tick", "no-action",
@@ -718,6 +731,7 @@ class TestScenarioFiles:
             "forwarding-to-a-string", "incognito-a-string", "user-agent-an-int",
             "seed-a-string", "browser-listed-twice", "action-not-a-string",
             "seed-too-long-to-print", "seed-of-2**63", "tick-too-long-to-print", "tick-of-2**63",
+            "browser-id-empty",
         ],
     )
     def test_malformed_dict_is_a_validation_error(self, spoil, step_index):

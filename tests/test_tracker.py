@@ -331,7 +331,7 @@ class TestExternalIds:
 class TestQueries:
     def test_account_history_requires_known_account(self):
         graph = IdentityGraph(PlatformFeed(seed=0))
-        with pytest.raises(UnknownAccount):
+        with pytest.raises(UnknownAccount, match="^unknown account 'ghost'$"):
             graph.account_history("ghost")
 
     def test_history_merges_profiles_sorted_by_time(self):

@@ -126,16 +126,16 @@ class TestWorld:
     def test_duplicate_account_rejected(self):
         world = World(seed=1)
         world.create_account("u1")
-        with pytest.raises(DuplicateAccount):
+        with pytest.raises(DuplicateAccount, match="^account 'u1' already exists$"):
             world.create_account("u1")
 
     def test_unknown_lookups_raise(self):
         world = World(seed=1)
-        with pytest.raises(UnknownBrowser):
+        with pytest.raises(UnknownBrowser, match="^unknown browser 'nope'$"):
             world.browser("nope")
-        with pytest.raises(UnknownSite):
+        with pytest.raises(UnknownSite, match=r"^unknown site 'nope\.example'$"):
             world.site("nope.example")
-        with pytest.raises(UnknownAccount):
+        with pytest.raises(UnknownAccount, match="^unknown account 'nope'$"):
             world.account("nope")
 
     def test_incognito_jars_cleared_at_end_of_step(self):
